@@ -205,8 +205,12 @@ _ADMISSION_CACHE: dict = {}
 
 def is_admitted(fn: FnTriple, alpha: float, m: float, q: float,
                 upper: float) -> ConvexityReport:
-    """Cached grid check of |f''|^q at (alpha, m) on [0, upper]."""
-    key = (fn.name, float(alpha), float(m), float(q), float(upper))
+    """Cached grid check of |f''|^q at (alpha, m) on [0, upper].
+
+    Keyed on the FnTriple object, never its name: two functions that
+    share a name must each pass their own check.
+    """
+    key = (fn, float(alpha), float(m), float(q), float(upper))
     report = _ADMISSION_CACHE.get(key)
     if report is None:
         g = lambda u: np.abs(fn.ddf(u)) ** q

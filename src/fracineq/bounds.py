@@ -35,7 +35,7 @@ import numpy as np
 
 from .amconvex import FnTriple, is_admitted
 from .errors import AdmissionError, DomainError
-from .identity import Params, direct_side
+from .identity import Params, direct_with_budget, memoized
 from .quad import Tolerance, integrate
 from .specfun import beta, beta_inc, hyp2f1
 
@@ -310,12 +310,15 @@ def _second_derivs(p: Params, fn: FnTriple) -> tuple[float, float, float]:
             abs(float(fn.ddf(p.b))))
 
 
-def bound_thm211(p: Params, fn: FnTriple,
-                 check_admission: bool = True) -> BoundReport:
-    """Power-mean route: phi1^(1-1/q) with the phi2/phi3 inner mix."""
+def bound_thm211(p: Params, fn: FnTriple, check_admission: bool = True,
+                 memo: dict | None = None) -> BoundReport:
+    """Power-mean route: phi1^(1-1/q) with the phi2/phi3 inner mix.
+
+    The lhs is |direct side|, taken from memo when one is given.
+    """
     if check_admission:
         _require_admitted(fn, p.alpha, p.m, p.q, max(p.b, p.a / p.m))
-    lhs = abs(direct_side(p, fn))
+    lhs = abs(direct_with_budget(p, fn, memo)[0])
     f1 = phi1(p.kappa, p.lam)
     f2 = phi2(p.kappa, p.lam, p.alpha)
     f3 = phi3(p.kappa, p.lam, p.alpha)
@@ -331,14 +334,17 @@ def bound_thm211(p: Params, fn: FnTriple,
                        tightness=_tightness(lhs, rhs))
 
 
-def bound_thm22(p: Params, fn: FnTriple,
-                check_admission: bool = True) -> BoundReport:
-    """Hoelder route: phi4^(1/p) with the flat (alpha+1) inner mix; q > 1."""
+def bound_thm22(p: Params, fn: FnTriple, check_admission: bool = True,
+                memo: dict | None = None) -> BoundReport:
+    """Hoelder route: phi4^(1/p) with the flat (alpha+1) inner mix; q > 1.
+
+    The lhs is |direct side|, taken from memo when one is given.
+    """
     if not p.q > 1.0:
         raise DomainError("the Hoelder route needs q > 1, got q=%r" % (p.q,))
     if check_admission:
         _require_admitted(fn, p.alpha, p.m, p.q, max(p.b, p.a / p.m))
-    lhs = abs(direct_side(p, fn))
+    lhs = abs(direct_with_budget(p, fn, memo)[0])
     q = p.q
     pp = q / (q - 1.0)
     f4 = phi4(p.kappa, p.lam, pp)
@@ -354,11 +360,14 @@ def bound_thm22(p: Params, fn: FnTriple,
 
 # --- classical baselines (kappa = m = alpha = 1) ---------------------------
 
-def _simpson_blend_lhs(fn: FnTriple, a: float, b: float, lam: float) -> float:
-    mid = 0.5 * (a + b)
-    avg = integrate(fn.f, a, b, _LHS_TOL).value / (b - a)
-    return abs((1.0 - lam) * float(fn.f(mid))
-               + lam * 0.5 * (float(fn.f(a)) + float(fn.f(b))) - avg)
+def _simpson_blend_lhs(fn: FnTriple, a: float, b: float, lam: float,
+                       memo: dict | None = None) -> float:
+    def compute():
+        mid = 0.5 * (a + b)
+        avg = integrate(fn.f, a, b, _LHS_TOL).value / (b - a)
+        return abs((1.0 - lam) * float(fn.f(mid))
+                   + lam * 0.5 * (float(fn.f(a)) + float(fn.f(b))) - avg)
+    return memoized(memo, ("simpson", fn, a, b, lam), compute)
 
 
 def _sarikaya_terms_low(lam: float) -> tuple[float, float, float]:
@@ -376,13 +385,14 @@ def _sarikaya_terms_high(lam: float) -> tuple[float, float, float]:
 
 
 def bound_sarikaya(fn: FnTriple, a: float, b: float, lam: float, q: float,
-                   literal: bool = False,
-                   check_admission: bool = True) -> BoundReport:
+                   literal: bool = False, check_admission: bool = True,
+                   memo: dict | None = None) -> BoundReport:
     """Classical two-branch Simpson-type baseline for convex |f''|^q.
 
     The circulated lower branch prints |f''(b)|^q twice in its second
     group; the default restores the a/b symmetry (literal=False).  Pass
-    literal=True to evaluate the uncorrected form.
+    literal=True to evaluate the uncorrected form.  The lhs is taken
+    from memo when one is given.
     """
     if not (0.0 <= lam <= 1.0):
         raise DomainError("lambda must lie in [0, 1], got %r" % (lam,))
@@ -404,7 +414,7 @@ def bound_sarikaya(fn: FnTriple, a: float, b: float, lam: float, q: float,
         g1 = (ca * da ** q + cb * db ** q) ** (1.0 / q)
         g2 = (ca * db ** q + cb * da ** q) ** (1.0 / q)
     prefactor = pref ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
-    lhs = _simpson_blend_lhs(fn, a, b, lam)
+    lhs = _simpson_blend_lhs(fn, a, b, lam, memo)
     rhs = (b - a) ** 2 / 2.0 * prefactor * (g1 + g2)
     which = "sarikaya-literal" if literal else "sarikaya"
     return BoundReport(which=which, lhs=lhs, rhs=rhs,
@@ -450,8 +460,12 @@ def remark_phi3(lam: float) -> float:
 
 
 def remark_bound(fn: FnTriple, a: float, b: float, lam: float, q: float,
-                 check_admission: bool = True) -> BoundReport:
-    """The kappa = m = alpha = 1 specialization with its own moment table."""
+                 check_admission: bool = True,
+                 memo: dict | None = None) -> BoundReport:
+    """The kappa = m = alpha = 1 specialization with its own moment table.
+
+    The lhs is taken from memo when one is given.
+    """
     if not (0.0 <= lam <= 1.0):
         raise DomainError("lambda must lie in [0, 1], got %r" % (lam,))
     if not q >= 1.0:
@@ -468,7 +482,7 @@ def remark_bound(fn: FnTriple, a: float, b: float, lam: float, q: float,
     g1 = (dm ** q * r2 + da ** q * r3) ** (1.0 / q)
     g2 = (dm ** q * r2 + db ** q * r3) ** (1.0 / q)
     prefactor = r1 ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
-    lhs = _simpson_blend_lhs(fn, a, b, lam)
+    lhs = _simpson_blend_lhs(fn, a, b, lam, memo)
     rhs = (b - a) ** 2 / 16.0 * prefactor * (g1 + g2)
     return BoundReport(which="remark", lhs=lhs, rhs=rhs,
                        holds=lhs <= rhs + HOLDS_SLACK,
@@ -700,13 +714,15 @@ _COROLLARIES = {
 
 
 def corollary_check(cid: str, p: Params, fn: FnTriple,
-                    check_admission: bool = True) -> CorollaryReport:
+                    check_admission: bool = True,
+                    memo: dict | None = None) -> CorollaryReport:
     """Compare a printed corollary right-hand side with the general bound.
 
     The returned rhs is always the scaled general bound; the printed
     value and its discrepancy ride along for reporting.  Raises
     DomainError when p does not satisfy the corollary's specialization
-    (midpoint x, pinned lambda/kappa, q regime).
+    (midpoint x, pinned lambda/kappa, q regime).  The lhs is taken
+    from memo when one is given.
     """
     spec = _COROLLARIES.get(cid)
     if spec is None:
@@ -725,9 +741,10 @@ def corollary_check(cid: str, p: Params, fn: FnTriple,
         raise DomainError("%s requires q > 1" % cid)
 
     if spec.family == "pm":
-        base = bound_thm211(p, fn, check_admission=check_admission)
+        base = bound_thm211(p, fn, check_admission=check_admission,
+                            memo=memo)
     else:
-        base = bound_thm22(p, fn, check_admission=check_admission)
+        base = bound_thm22(p, fn, check_admission=check_admission, memo=memo)
     scale = 1.0 if cid == "2a-a" else (2.0 / p.width) ** (p.kappa - 1.0)
     lhs = scale * base.lhs
     general_rhs = scale * base.rhs

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import bounds
 from .amconvex import corpus, corpus_by_name
 from .errors import AdmissionError, ConvergenceError, DomainError, EvaluationError
-from .identity import Params, residual
+from .identity import Params, memoized, point_key, residual
 from .quad import Tolerance, integrate
 
 CSV_COLUMNS = ("check", "fn", "a", "b", "m", "x", "lambda", "kappa",
@@ -166,8 +166,14 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
     the Hoelder route) are counted as skipped, not errors.  phi-oracle
     rows do not involve a function and are emitted once per distinct
     (kappa, lambda, alpha, q), with fn = "-".
+
+    Each distinct identity point (fn, a, b, m, x, lambda, kappa) is
+    evaluated once per call: its residual, direct side and kernel side
+    are shared by every check and every alpha and q, and the Simpson
+    blend lhs once per (fn, a, b, lambda).
     """
     by_name = corpus_by_name()
+    memo: dict = {}
     rows = []
     skipped = 0
     held = 0
@@ -210,7 +216,9 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
                     except DomainError:
                         skipped += 1
                         continue
-                    chk = residual(prm, entry.fn)
+                    key = ("identity",) + point_key(prm, entry.fn)
+                    chk = memoized(memo, key,
+                                   lambda: residual(prm, entry.fn, memo))
                     rows.append(_row(check, fn_name, pt, chk.lhs, chk.rhs,
                                      chk.ok, 0.0, chk.residual))
                     held += chk.ok
@@ -221,7 +229,7 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
                                      alpha=alpha, q=q)
                         fnc = (bounds.bound_thm211 if check == "thm211"
                                else bounds.bound_thm22)
-                        rep = fnc(prm, entry.fn)
+                        rep = fnc(prm, entry.fn, memo=memo)
                     except (DomainError, AdmissionError):
                         skipped += 1
                         continue
@@ -233,7 +241,7 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
                     try:
                         fnc = (bounds.bound_sarikaya if check == "sarikaya"
                                else bounds.remark_bound)
-                        rep = fnc(entry.fn, a, b, lam, q)
+                        rep = fnc(entry.fn, a, b, lam, q, memo=memo)
                     except (DomainError, AdmissionError):
                         skipped += 1
                         continue
@@ -251,7 +259,8 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
                     emitted = False
                     for cid in bounds.COROLLARY_IDS:
                         try:
-                            rep = bounds.corollary_check(cid, prm, entry.fn)
+                            rep = bounds.corollary_check(cid, prm, entry.fn,
+                                                         memo=memo)
                         except (DomainError, AdmissionError):
                             continue
                         rows.append(_row(rep.which, fn_name, pt, rep.lhs,
@@ -561,7 +570,7 @@ def main(argv=None) -> int:
     except (DomainError, AdmissionError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ConvergenceError, EvaluationError) as exc:
+    except (ConvergenceError, EvaluationError, OverflowError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 1
 

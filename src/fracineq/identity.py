@@ -103,6 +103,29 @@ class IdentityCheck:
                                  + RESIDUAL_FLOOR)
 
 
+def memoized(memo: dict | None, key: tuple, compute):
+    """compute(), stored in memo under key when a memo is given.
+
+    A sweep passes one dict down to every check so that each value is
+    computed at most once per sweep.  Each key is a tag plus exactly the
+    inputs its computation reads; functions enter keys as FnTriple
+    objects, never by name, so two functions that share a name never
+    share an entry.  A computation that raises stores nothing.
+    """
+    if memo is None:
+        return compute()
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = compute()
+        return value
+
+
+def point_key(p: Params, fn: FnTriple) -> tuple:
+    """The inputs both sides of the identity read: alpha and q enter neither."""
+    return (fn, p.a, p.b, p.m, p.x, p.lam, p.kappa)
+
+
 def _direct_with_budget(p: Params, fn: FnTriple) -> tuple[float, float]:
     mb, w, k = p.mb, p.width, p.kappa
     xa = p.x - p.a
@@ -173,9 +196,24 @@ def kernel_side(p: Params, fn: FnTriple) -> float:
     return _kernel_with_budget(p, fn)[0]
 
 
-def residual(p: Params, fn: FnTriple) -> IdentityCheck:
-    lhs, b1 = _direct_with_budget(p, fn)
-    rhs, b2 = _kernel_with_budget(p, fn)
+def direct_with_budget(p: Params, fn: FnTriple,
+                       memo: dict | None = None) -> tuple[float, float]:
+    """The direct side and its quadrature budget, once per point in a memo."""
+    return memoized(memo, ("direct",) + point_key(p, fn),
+                    lambda: _direct_with_budget(p, fn))
+
+
+def residual(p: Params, fn: FnTriple,
+             memo: dict | None = None) -> IdentityCheck:
+    """|direct - kernel| against the sum of both sides' quadrature budgets.
+
+    With a memo, each side is computed at most once per point.  Of the
+    sweep's checks only this one reads the kernel side, so a sweep
+    without identity checks never starts a kernel integral.
+    """
+    lhs, b1 = direct_with_budget(p, fn, memo)
+    rhs, b2 = memoized(memo, ("kernel",) + point_key(p, fn),
+                       lambda: _kernel_with_budget(p, fn))
     return IdentityCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
                          quad_error_budget=b1 + b2)
 

@@ -109,6 +109,20 @@ def test_admission_cache_returns_same_report():
     assert r1 is r2
 
 
+def test_admission_cache_keys_on_the_function_not_its_name():
+    # a different function that borrows the name "exp" must face its own
+    # grid check, not inherit the corpus exp's cached admission
+    from fracineq import Params, bound_thm211
+
+    p = Params(a=0.0, b=1.0, m=1.0, x=0.5, lam=0.5, kappa=1.0, alpha=1.0, q=1.0)
+    assert bound_thm211(p, corpus_by_name()["exp"].fn).holds
+    impostor = FnTriple(f=lambda u: np.sin(6.0 * u),
+                        df=lambda u: 6.0 * np.cos(6.0 * u),
+                        ddf=lambda u: -36.0 * np.sin(6.0 * u), name="exp")
+    with pytest.raises(AdmissionError):
+        bound_thm211(p, impostor)
+
+
 def test_admission_checks_ddf_power_not_f():
     # |f''|^q of pow-2.5 is x^(q/2); convex for q >= 2 but the (0.5, 1)
     # pairing fails on the grid, mirroring the sqrt rejection above

@@ -1,13 +1,22 @@
+import collections
 import csv
+import hashlib
 import math
 import os
 
+import numpy as np
 import pytest
 
-from fracineq import DomainError
+import fracineq.bounds
+import fracineq.identity
+from fracineq import (DomainError, FnTriple, Params, bound_sarikaya,
+                      corpus_by_name, residual)
 from fracineq.harness import (CSV_COLUMNS, DEFAULT_CONFIG, SweepConfig, main,
                               parse_sweep_config, remark_comparison_table,
                               run_sweep, sanity_classical, write_remark_table)
+
+SMALL_SWEEP_CFG = os.path.join(os.path.dirname(__file__), "data",
+                               "sweep_small.cfg")
 
 
 # --- config parsing ------------------------------------------------------
@@ -138,6 +147,85 @@ def test_sweep_summary_worst_tightness(tmp_path):
     assert summary.worst_tightness == best <= 1.0
 
 
+# --- one evaluation per identity point -----------------------------------
+
+def test_small_sweep_csv_digest_is_pinned(tmp_path):
+    # all seven checks, two fns, q in {1, 2}, x through the midpoint; the
+    # digest was taken before the sweep shared evaluations across checks
+    out = str(tmp_path / "rows.csv")
+    summary = run_sweep(parse_sweep_config(SMALL_SWEEP_CFG), out)
+    assert (summary.rows_total, summary.rows_held, summary.skipped) \
+        == (250, 250, 84)
+    with open(out, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == ("1b793e91997f0f587085fdb8166217026846"
+                      "6a184bcb52c6b18328cdc3fc4893")
+
+
+def _spy(monkeypatch, module, name):
+    """Count the calls of module.name by (fn, a, b, m, x, lambda, kappa)."""
+    calls = collections.Counter()
+    original = getattr(module, name)
+
+    def spy(p, fn):
+        calls[(fn, p.a, p.b, p.m, p.x, p.lam, p.kappa)] += 1
+        return original(p, fn)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_sweep_evaluates_each_identity_point_once(tmp_path, monkeypatch):
+    direct = _spy(monkeypatch, fracineq.identity, "_direct_with_budget")
+    kernel = _spy(monkeypatch, fracineq.identity, "_kernel_with_budget")
+    run_sweep(parse_sweep_config(SMALL_SWEEP_CFG), str(tmp_path / "r.csv"))
+    assert direct and set(direct.values()) == {1}
+    assert kernel and set(kernel.values()) == {1}
+    assert set(kernel) == set(direct)
+
+
+def test_bounds_only_sweep_runs_no_kernel_integral(tmp_path, monkeypatch):
+    direct = _spy(monkeypatch, fracineq.identity, "_direct_with_budget")
+    kernel = _spy(monkeypatch, fracineq.identity, "_kernel_with_budget")
+    cfg = small_config(q=(1.0, 2.0), checks=("thm211",))
+    summary = run_sweep(cfg, str(tmp_path / "r.csv"))
+    assert summary.rows_total == 4
+    assert set(direct.values()) == {1} and len(direct) == 2
+    assert not kernel
+
+
+def test_sweep_integrates_simpson_lhs_once_per_fn_interval_lambda(
+        tmp_path, monkeypatch):
+    lhs_integrals = []
+    integrate = fracineq.bounds.integrate
+
+    def counted(f, a, b, tol):
+        lhs_integrals.append((f, a, b))
+        return integrate(f, a, b, tol)
+
+    monkeypatch.setattr(fracineq.bounds, "integrate", counted)
+    cfg = small_config(fns=("exp", "cubic/6"), q=(1.0, 2.0),
+                       checks=("sarikaya", "remark"))
+    summary = run_sweep(cfg, str(tmp_path / "r.csv"))
+    assert summary.rows_total == 16   # 2 fns x 2 lambdas x 2 q x 2 checks
+    assert len(lhs_integrals) == 4    # 2 fns x 2 lambdas
+
+
+def test_memo_never_shares_entries_between_same_named_fns():
+    exp = corpus_by_name()["exp"].fn
+    twin = FnTriple(f=lambda u: 2.0 * np.exp(u), df=lambda u: 2.0 * np.exp(u),
+                    ddf=lambda u: 2.0 * np.exp(u), name="exp")
+    p = Params(a=0.0, b=1.0, m=1.0, x=0.25, lam=0.5, kappa=1.0)
+    memo = {}
+    first = residual(p, exp, memo)
+    second = residual(p, twin, memo)
+    assert second.lhs == pytest.approx(2.0 * first.lhs, rel=1e-12)
+    assert second.rhs == pytest.approx(2.0 * first.rhs, rel=1e-12)
+    lhs = [bound_sarikaya(fn, 0.0, 1.0, 0.5, 1.0, check_admission=False,
+                          memo=memo).lhs for fn in (exp, twin)]
+    assert lhs[1] == pytest.approx(2.0 * lhs[0], rel=1e-9)
+
+
 # --- classical sanity suite ----------------------------------------------
 
 def test_sanity_classical_all_pass():
@@ -256,6 +344,19 @@ def test_cli_verification_failure_exit_1(monkeypatch, capsys):
                "--oracle"])
     capsys.readouterr()
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "phi 4 --kappa 1 --lambda 0.3 --p 200",
+    "phi 4 --kappa 1 --lambda 1 --p 2000",
+    "bound-check --thm 22 --fn exp --q 1.001",
+    "bound-check --thm corollary:2b-c --fn exp --q 1.001 "
+    "--lambda 0.3333333333333333 --x 0.5",
+])
+def test_cli_overflow_near_q_one_is_a_numerical_failure(argv, capsys):
+    # q near 1 puts the Hoelder exponent past gamma's range
+    assert main(argv.split()) == 1
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 def test_cli_float_formatting_roundtrips(tmp_path):
