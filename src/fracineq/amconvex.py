@@ -17,13 +17,15 @@ are re-validated by the checker in the test suite.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError
+from .quad import _Evaluator
 
 DEFAULT_GRID = (41, 41, 33)
 VIOLATION_TOL = 1e-12
@@ -77,17 +79,8 @@ def check_am_convex(g: Callable, alpha: float, m: float,
     Y = ys[None, :, None]
     T = ts[None, None, :]
     arg = T * X + m * (1.0 - T) * Y
-    try:
-        g_arg = np.asarray(g(arg), dtype=float)
-        g_x = np.asarray(g(xs), dtype=float)
-        g_y = np.asarray(g(ys), dtype=float)
-        if g_arg.shape != arg.shape:
-            raise ValueError
-    except (TypeError, ValueError, AttributeError, IndexError):
-        vec = np.vectorize(lambda u: float(g(u)), otypes=[float])
-        g_arg = vec(arg)
-        g_x = vec(xs)
-        g_y = vec(ys)
+    ev = _Evaluator(g)
+    g_arg, g_x, g_y = ev(arg), ev(xs), ev(ys)
     if not (np.all(np.isfinite(g_arg)) and np.all(np.isfinite(g_x))
             and np.all(np.isfinite(g_y))):
         raise EvaluationError("g returned a non-finite value on the check grid")
@@ -102,25 +95,6 @@ def check_am_convex(g: Callable, alpha: float, m: float,
                            max_violation=float(viol[idx]),
                            worst_point=worst,
                            samples=nx * ny * nt)
-
-
-def check_midpoint_convex(g: Callable, domain: tuple = (0.0, 1.0),
-                          n: int = 41) -> float:
-    """Max violation of g((x+y)/2) <= (g(x)+g(y))/2 on an n x n grid."""
-    xs = np.linspace(float(domain[0]), float(domain[1]), n)
-    X = xs[:, None]
-    Y = xs[None, :]
-    try:
-        g_mid = np.asarray(g(0.5 * (X + Y)), dtype=float)
-        g_x = np.asarray(g(xs), dtype=float)
-        if g_mid.shape != (n, n):
-            raise ValueError
-    except (TypeError, ValueError, AttributeError, IndexError):
-        vec = np.vectorize(lambda u: float(g(u)), otypes=[float])
-        g_mid = vec(0.5 * (X + Y))
-        g_x = vec(xs)
-    viol = g_mid - 0.5 * (g_x[:, None] + g_x[None, :])
-    return float(np.max(viol))
 
 
 @dataclass(frozen=True)
@@ -141,7 +115,10 @@ def _pow_triple(s: float, name: str) -> FnTriple:
     )
 
 
-def corpus() -> list[CorpusEntry]:
+# Built once and cached: the admission cache is keyed on FnTriple objects,
+# so every caller must see the same triples.
+@functools.cache
+def corpus() -> tuple:
     """The admitted function corpus.
 
     Each admission tuple was accepted by check_am_convex on [0, 1] (and
@@ -158,7 +135,7 @@ def corpus() -> list[CorpusEntry]:
                      ddf=lambda x: np.asarray(x, dtype=float) ** 2,
                      name="quart/12")
     expf = FnTriple(f=np.exp, df=np.exp, ddf=np.exp, name="exp")
-    return [
+    return (
         CorpusEntry(cubic, ((1.0, 1.0, 1.0), (1.0, 1.0, 2.0), (1.0, 0.6, 1.0))),
         CorpusEntry(quart, ((1.0, 1.0, 1.0), (1.0, 1.0, 2.0), (0.5, 0.5, 1.0))),
         CorpusEntry(expf, ((1.0, 1.0, 1.0), (1.0, 1.0, 2.0))),
@@ -167,11 +144,13 @@ def corpus() -> list[CorpusEntry]:
                     ((1.0, 1.0, 2.0), (1.0, 1.0, 4.0), (0.5, 0.5, 4.0))),
         CorpusEntry(_pow_triple(0.75, "pow-2.75"),
                     ((1.0, 1.0, 2.0), (0.5, 0.25, 2.0))),
-    ]
+    )
 
 
-def corpus_by_name() -> dict:
-    return {entry.fn.name: entry for entry in corpus()}
+@functools.cache
+def corpus_by_name() -> MappingProxyType:
+    """Read-only view of the corpus keyed by function name."""
+    return MappingProxyType({entry.fn.name: entry for entry in corpus()})
 
 
 def validate_derivatives(fn: FnTriple, n: int = 32, rel_tol: float = 1e-6) -> None:

@@ -114,13 +114,17 @@ def _phi3_above(kappa, lam, alpha, const_num):
         - const_num / ((kappa + 2.0) * (kappa + alpha + 2.0))
 
 
-def phi3(kappa: float, lam: float, alpha: float) -> float:
-    """Corrected closed form (constant-term numerator alpha)."""
+def _phi3(kappa, lam, alpha, const_num):
     _check_kl(kappa, lam)
     _check_alpha(alpha)
     if lam <= 1.0 / (kappa + 1.0):
-        return _phi3_below(kappa, lam, alpha, alpha)
-    return _phi3_above(kappa, lam, alpha, alpha)
+        return _phi3_below(kappa, lam, alpha, const_num)
+    return _phi3_above(kappa, lam, alpha, const_num)
+
+
+def phi3(kappa: float, lam: float, alpha: float) -> float:
+    """Corrected closed form (constant-term numerator alpha)."""
+    return _phi3(kappa, lam, alpha, alpha)
 
 
 def phi3_literal(kappa: float, lam: float, alpha: float) -> float:
@@ -129,11 +133,7 @@ def phi3_literal(kappa: float, lam: float, alpha: float) -> float:
     Kept for adjudication: coincides with phi3 iff alpha == kappa, is
     negative at alpha = 0, and fails the oracle otherwise.
     """
-    _check_kl(kappa, lam)
-    _check_alpha(alpha)
-    if lam <= 1.0 / (kappa + 1.0):
-        return _phi3_below(kappa, lam, alpha, kappa)
-    return _phi3_above(kappa, lam, alpha, kappa)
+    return _phi3(kappa, lam, alpha, kappa)
 
 
 def _check_p(p: float) -> None:
@@ -161,15 +161,19 @@ def _phi4_upper(kappa, lam, p):
     return c ** ((p * (kappa + 1.0) + 1.0) / kappa) / kappa * inc
 
 
-def phi4(kappa: float, lam: float, p: float) -> float:
-    """Corrected closed form (1/kappa on the middle-branch 2F1 term)."""
+def _phi4(kappa, lam, p, second_scale=None):
     _check_kl(kappa, lam)
     _check_p(p)
     if lam == 0.0:
         return 1.0 / (p * (kappa + 1.0) + 1.0)
     if lam < 1.0 / (kappa + 1.0):
-        return _phi4_mid(kappa, lam, p)
+        return _phi4_mid(kappa, lam, p, second_scale)
     return _phi4_upper(kappa, lam, p)
+
+
+def phi4(kappa: float, lam: float, p: float) -> float:
+    """Corrected closed form (1/kappa on the middle-branch 2F1 term)."""
+    return _phi4(kappa, lam, p)
 
 
 def phi4_literal(kappa: float, lam: float, p: float) -> float:
@@ -182,16 +186,32 @@ def phi4_literal(kappa: float, lam: float, p: float) -> float:
     kappa > 1) whenever the kink is interior.  Coincides with phi4
     at kappa = 1 and on the other two branches.
     """
-    _check_kl(kappa, lam)
-    _check_p(p)
-    if lam == 0.0:
-        return 1.0 / (p * (kappa + 1.0) + 1.0)
-    if lam < 1.0 / (kappa + 1.0):
-        return _phi4_mid(kappa, lam, p, second_scale=1.0)
-    return _phi4_upper(kappa, lam, p)
+    return _phi4(kappa, lam, p, second_scale=1.0)
 
 
 # --- quadrature oracle -----------------------------------------------------
+
+def _check_which(which: int, alpha: float | None, p: float | None) -> None:
+    if which not in (1, 2, 3, 4):
+        raise DomainError("which must be 1..4, got %r" % (which,))
+    if which in (2, 3) and alpha is None:
+        raise DomainError("phi%d needs alpha" % which)
+    if which == 4 and p is None:
+        raise DomainError("phi4 needs p")
+
+
+def phi(which: int, kappa: float, lam: float, *,
+        alpha: float | None = None, p: float | None = None) -> float:
+    """Closed form of phi<which>; arguments as for phi_oracle."""
+    _check_which(which, alpha, p)
+    if which == 1:
+        return phi1(kappa, lam)
+    if which == 2:
+        return phi2(kappa, lam, alpha)
+    if which == 3:
+        return phi3(kappa, lam, alpha)
+    return phi4(kappa, lam, p)
+
 
 def phi_oracle(which: int, kappa: float, lam: float, *,
                alpha: float | None = None, p: float | None = None,
@@ -203,15 +223,10 @@ def phi_oracle(which: int, kappa: float, lam: float, *,
     closed forms and of the beta/2F1 machinery.
     """
     _check_kl(kappa, lam)
-    if which not in (1, 2, 3, 4):
-        raise DomainError("which must be 1..4, got %r" % (which,))
+    _check_which(which, alpha, p)
     if which in (2, 3):
-        if alpha is None:
-            raise DomainError("phi%d oracle needs alpha" % which)
         _check_alpha(alpha)
     if which == 4:
-        if p is None:
-            raise DomainError("phi4 oracle needs p")
         _check_p(p)
     tol = tol if tol is not None else _ORACLE_TOL
 
@@ -240,32 +255,6 @@ def phi_oracle(which: int, kappa: float, lam: float, *,
     return total
 
 
-@dataclass(frozen=True)
-class PhiSet:
-    """All moments at one (kappa, lambda, alpha[, p]) point."""
-
-    phi1: float
-    phi2: float
-    phi3: float
-    phi4: float | None
-    regime: str  # lambda-zero | below-kink | above-kink
-
-
-def phi_set(kappa: float, lam: float, alpha: float,
-            p: float | None = None) -> PhiSet:
-    if lam == 0.0:
-        regime = "lambda-zero"
-    elif lam <= 1.0 / (kappa + 1.0):
-        regime = "below-kink"
-    else:
-        regime = "above-kink"
-    return PhiSet(phi1=phi1(kappa, lam),
-                  phi2=phi2(kappa, lam, alpha),
-                  phi3=phi3(kappa, lam, alpha),
-                  phi4=None if p is None else phi4(kappa, lam, p),
-                  regime=regime)
-
-
 # --- reports ---------------------------------------------------------------
 
 def _tightness(lhs: float, rhs: float) -> float:
@@ -283,6 +272,12 @@ class BoundReport:
     rhs: float
     holds: bool
     tightness: float
+
+
+def _report(which: str, lhs: float, rhs: float) -> BoundReport:
+    return BoundReport(which=which, lhs=lhs, rhs=rhs,
+                       holds=lhs <= rhs + HOLDS_SLACK,
+                       tightness=_tightness(lhs, rhs))
 
 
 def _require_admitted(fn: FnTriple, alpha: float, m: float, q: float,
@@ -310,15 +305,30 @@ def _second_derivs(p: Params, fn: FnTriple) -> tuple[float, float, float]:
             abs(float(fn.ddf(p.b))))
 
 
+def _holder_inner(p: Params, fn: FnTriple) -> tuple[float, float]:
+    # the flat (alpha+1) mixes of |f''|^q, each to the power 1/q
+    d2x, d2a, d2b = _second_derivs(p, fn)
+    q, al = p.q, p.alpha
+    ia = (d2x ** q + al * p.m * d2a ** q) / (al + 1.0)
+    ib = (d2x ** q + al * p.m * d2b ** q) / (al + 1.0)
+    return ia ** (1.0 / q), ib ** (1.0 / q)
+
+
+def _theorem_lhs(p: Params, fn: FnTriple, check_admission: bool,
+                 memo: dict | None) -> float:
+    # admission first, so an unadmitted function never costs an integral
+    if check_admission:
+        _require_admitted(fn, p.alpha, p.m, p.q, max(p.b, p.a / p.m))
+    return abs(direct_with_budget(p, fn, memo)[0])
+
+
 def bound_thm211(p: Params, fn: FnTriple, check_admission: bool = True,
                  memo: dict | None = None) -> BoundReport:
     """Power-mean route: phi1^(1-1/q) with the phi2/phi3 inner mix.
 
     The lhs is |direct side|, taken from memo when one is given.
     """
-    if check_admission:
-        _require_admitted(fn, p.alpha, p.m, p.q, max(p.b, p.a / p.m))
-    lhs = abs(direct_with_budget(p, fn, memo)[0])
+    lhs = _theorem_lhs(p, fn, check_admission, memo)
     f1 = phi1(p.kappa, p.lam)
     f2 = phi2(p.kappa, p.lam, p.alpha)
     f3 = phi3(p.kappa, p.lam, p.alpha)
@@ -329,9 +339,7 @@ def bound_thm211(p: Params, fn: FnTriple, check_admission: bool = True,
     c1, c2 = _coefs(p)
     pref = f1 ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
     rhs = pref * (c1 * inner_a ** (1.0 / q) + c2 * inner_b ** (1.0 / q))
-    return BoundReport(which="thm211", lhs=lhs, rhs=rhs,
-                       holds=lhs <= rhs + HOLDS_SLACK,
-                       tightness=_tightness(lhs, rhs))
+    return _report("thm211", lhs, rhs)
 
 
 def bound_thm22(p: Params, fn: FnTriple, check_admission: bool = True,
@@ -342,23 +350,28 @@ def bound_thm22(p: Params, fn: FnTriple, check_admission: bool = True,
     """
     if not p.q > 1.0:
         raise DomainError("the Hoelder route needs q > 1, got q=%r" % (p.q,))
-    if check_admission:
-        _require_admitted(fn, p.alpha, p.m, p.q, max(p.b, p.a / p.m))
-    lhs = abs(direct_with_budget(p, fn, memo)[0])
-    q = p.q
-    pp = q / (q - 1.0)
+    lhs = _theorem_lhs(p, fn, check_admission, memo)
+    pp = p.q / (p.q - 1.0)
     f4 = phi4(p.kappa, p.lam, pp)
-    d2x, d2a, d2b = _second_derivs(p, fn)
-    a1 = (d2x ** q + p.alpha * p.m * d2a ** q) / (p.alpha + 1.0)
-    a2 = (d2x ** q + p.alpha * p.m * d2b ** q) / (p.alpha + 1.0)
+    ga, gb = _holder_inner(p, fn)
     c1, c2 = _coefs(p)
-    rhs = f4 ** (1.0 / pp) * (c1 * a1 ** (1.0 / q) + c2 * a2 ** (1.0 / q))
-    return BoundReport(which="thm22", lhs=lhs, rhs=rhs,
-                       holds=lhs <= rhs + HOLDS_SLACK,
-                       tightness=_tightness(lhs, rhs))
+    rhs = f4 ** (1.0 / pp) * (c1 * ga + c2 * gb)
+    return _report("thm22", lhs, rhs)
 
 
 # --- classical baselines (kappa = m = alpha = 1) ---------------------------
+
+def _check_classical(fn: FnTriple, a: float, b: float, lam: float, q: float,
+                     check_admission: bool) -> None:
+    if not (0.0 <= lam <= 1.0):
+        raise DomainError("lambda must lie in [0, 1], got %r" % (lam,))
+    if not q >= 1.0:
+        raise DomainError("q must be >= 1, got %r" % (q,))
+    if not (0.0 <= a < b):
+        raise DomainError("need 0 <= a < b, got a=%r b=%r" % (a, b))
+    if check_admission:
+        _require_admitted(fn, 1.0, 1.0, q, b)
+
 
 def _simpson_blend_lhs(fn: FnTriple, a: float, b: float, lam: float,
                        memo: dict | None = None) -> float:
@@ -394,14 +407,7 @@ def bound_sarikaya(fn: FnTriple, a: float, b: float, lam: float, q: float,
     literal=True to evaluate the uncorrected form.  The lhs is taken
     from memo when one is given.
     """
-    if not (0.0 <= lam <= 1.0):
-        raise DomainError("lambda must lie in [0, 1], got %r" % (lam,))
-    if not q >= 1.0:
-        raise DomainError("q must be >= 1, got %r" % (q,))
-    if not (0.0 <= a < b):
-        raise DomainError("need 0 <= a < b, got a=%r b=%r" % (a, b))
-    if check_admission:
-        _require_admitted(fn, 1.0, 1.0, q, b)
+    _check_classical(fn, a, b, lam, q, check_admission)
     da = abs(float(fn.ddf(a)))
     db = abs(float(fn.ddf(b)))
     if lam <= 0.5:
@@ -416,47 +422,26 @@ def bound_sarikaya(fn: FnTriple, a: float, b: float, lam: float, q: float,
     prefactor = pref ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
     lhs = _simpson_blend_lhs(fn, a, b, lam, memo)
     rhs = (b - a) ** 2 / 2.0 * prefactor * (g1 + g2)
-    which = "sarikaya-literal" if literal else "sarikaya"
-    return BoundReport(which=which, lhs=lhs, rhs=rhs,
-                       holds=lhs <= rhs + HOLDS_SLACK,
-                       tightness=_tightness(lhs, rhs))
-
-
-def _remark_phi1_below(lam):
-    return 8.0 * (lam ** 3 / 3.0 + (1.0 - 3.0 * lam) / 24.0)
-
-
-def _remark_phi1_above(lam):
-    return (3.0 * lam - 1.0) / 3.0
-
-
-def _remark_phi2_below(lam):
-    return 16.0 * (lam ** 4 / 6.0 + (3.0 - 8.0 * lam) / 192.0)
-
-
-def _remark_phi2_above(lam):
-    return (8.0 * lam - 3.0) / 12.0
-
-
-def _remark_phi3_below(lam):
-    return (-8.0 * lam ** 4 + 8.0 * lam ** 3 - lam) / 3.0 + 1.0 / 12.0
-
-
-def _remark_phi3_above(lam):
-    return (4.0 * lam - 1.0) / 12.0
+    return _report("sarikaya-literal" if literal else "sarikaya", lhs, rhs)
 
 
 def remark_phi1(lam: float) -> float:
     """kappa = alpha = 1 moment table, written directly in lambda."""
-    return _remark_phi1_below(lam) if lam <= 0.5 else _remark_phi1_above(lam)
+    if lam <= 0.5:
+        return 8.0 * (lam ** 3 / 3.0 + (1.0 - 3.0 * lam) / 24.0)
+    return (3.0 * lam - 1.0) / 3.0
 
 
 def remark_phi2(lam: float) -> float:
-    return _remark_phi2_below(lam) if lam <= 0.5 else _remark_phi2_above(lam)
+    if lam <= 0.5:
+        return 16.0 * (lam ** 4 / 6.0 + (3.0 - 8.0 * lam) / 192.0)
+    return (8.0 * lam - 3.0) / 12.0
 
 
 def remark_phi3(lam: float) -> float:
-    return _remark_phi3_below(lam) if lam <= 0.5 else _remark_phi3_above(lam)
+    if lam <= 0.5:
+        return (-8.0 * lam ** 4 + 8.0 * lam ** 3 - lam) / 3.0 + 1.0 / 12.0
+    return (4.0 * lam - 1.0) / 12.0
 
 
 def remark_bound(fn: FnTriple, a: float, b: float, lam: float, q: float,
@@ -466,14 +451,7 @@ def remark_bound(fn: FnTriple, a: float, b: float, lam: float, q: float,
 
     The lhs is taken from memo when one is given.
     """
-    if not (0.0 <= lam <= 1.0):
-        raise DomainError("lambda must lie in [0, 1], got %r" % (lam,))
-    if not q >= 1.0:
-        raise DomainError("q must be >= 1, got %r" % (q,))
-    if not (0.0 <= a < b):
-        raise DomainError("need 0 <= a < b, got a=%r b=%r" % (a, b))
-    if check_admission:
-        _require_admitted(fn, 1.0, 1.0, q, b)
+    _check_classical(fn, a, b, lam, q, check_admission)
     mid = 0.5 * (a + b)
     dm = abs(float(fn.ddf(mid)))
     da = abs(float(fn.ddf(a)))
@@ -484,9 +462,7 @@ def remark_bound(fn: FnTriple, a: float, b: float, lam: float, q: float,
     prefactor = r1 ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
     lhs = _simpson_blend_lhs(fn, a, b, lam, memo)
     rhs = (b - a) ** 2 / 16.0 * prefactor * (g1 + g2)
-    return BoundReport(which="remark", lhs=lhs, rhs=rhs,
-                       holds=lhs <= rhs + HOLDS_SLACK,
-                       tightness=_tightness(lhs, rhs))
+    return _report("remark", lhs, rhs)
 
 
 # --- corollary transcriptions ---------------------------------------------
@@ -589,14 +565,6 @@ def _printed_2a_h(p: Params, fn: FnTriple) -> float:
     ib = f2 * d2x ** q + p.m * f3 * d2b ** q
     pref = (2.0 / 3.0) ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
     return w ** 2 / 16.0 * pref * (ia ** (1.0 / q) + ib ** (1.0 / q))
-
-
-def _holder_inner(p: Params, fn: FnTriple) -> tuple[float, float]:
-    d2x, d2a, d2b = _second_derivs(p, fn)
-    q, al = p.q, p.alpha
-    ia = (d2x ** q + al * p.m * d2a ** q) / (al + 1.0)
-    ib = (d2x ** q + al * p.m * d2b ** q) / (al + 1.0)
-    return ia ** (1.0 / q), ib ** (1.0 / q)
 
 
 def _printed_2b_a(p: Params, fn: FnTriple) -> float:

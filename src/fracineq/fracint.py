@@ -11,7 +11,6 @@ an explicit endpoint weight, so 0 < k < 1 costs nothing extra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError
@@ -59,23 +58,3 @@ def rl_right(f: Callable[[float], float], b: float, kappa: float, x: float,
              tol: Tolerance | None = None) -> float:
     return rl_right_result(f, b, kappa, x, tol).value
 
-
-@dataclass(frozen=True)
-class RLSpec:
-    """One fractional-integral operator: order, anchor point and side."""
-
-    kappa: float
-    anchor: float
-    side: str  # "left" (anchored below x) or "right" (anchored above x)
-
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise DomainError("RLSpec side must be 'left' or 'right', got %r"
-                              % (self.side,))
-        _check_order(self.kappa)
-
-    def apply(self, f: Callable[[float], float], x: float,
-              tol: Tolerance | None = None) -> float:
-        if self.side == "left":
-            return rl_left(f, self.anchor, self.kappa, x, tol)
-        return rl_right(f, self.anchor, self.kappa, x, tol)

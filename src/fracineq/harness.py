@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -33,8 +34,6 @@ CSV_COLUMNS = ("check", "fn", "a", "b", "m", "x", "lambda", "kappa",
 PHI_ORACLE_TOL = 1e-10
 
 _SWEEP_NUMERIC_KEYS = ("a", "b", "m", "x", "lambda", "kappa", "alpha", "q")
-_SWEEP_CHECKS = ("identity", "thm211", "thm22", "sarikaya", "remark",
-                 "corollaries", "phi-oracle")
 
 
 def _fmt(x: float) -> str:
@@ -92,18 +91,13 @@ def parse_sweep_config(path: str) -> SweepConfig:
                 except ValueError:
                     raise DomainError("%s:%d: %s needs a number, got %r"
                                       % (path, lineno, key, value)) from None
-            elif key == "fn":
-                if value not in corpus_by_name():
-                    raise DomainError("%s:%d: unknown fn %r (known: %s)"
-                                      % (path, lineno, value,
-                                         ", ".join(sorted(corpus_by_name()))))
-                raw.setdefault("fn", []).append(value)
-            elif key == "check":
-                if value not in _SWEEP_CHECKS:
-                    raise DomainError("%s:%d: unknown check %r (known: %s)"
-                                      % (path, lineno, value,
-                                         ", ".join(_SWEEP_CHECKS)))
-                raw.setdefault("check", []).append(value)
+            elif key in ("fn", "check"):
+                known = corpus_by_name() if key == "fn" else _SWEEP_CHECKS
+                if value not in known:
+                    raise DomainError("%s:%d: unknown %s %r (known: %s)"
+                                      % (path, lineno, key, value,
+                                         ", ".join(sorted(known))))
+                raw.setdefault(key, []).append(value)
             else:
                 raise DomainError("%s:%d: unknown key %r" % (path, lineno, key))
     d = DEFAULT_CONFIG
@@ -126,36 +120,86 @@ class SweepSummary:
     rows_total: int
     rows_held: int
     skipped: int
+    failed: int
     worst_tightness: float
     max_identity_residual: float
 
     @property
     def ok(self) -> bool:
-        return self.rows_held == self.rows_total
+        return self.rows_held == self.rows_total and self.failed == 0
 
 
-def _param_points(cfg: SweepConfig):
-    for a in cfg.a:
-        for b in cfg.b:
-            for m in cfg.m:
-                for x in cfg.x:
-                    for lam in cfg.lam:
-                        for kappa in cfg.kappa:
-                            for alpha in cfg.alpha:
-                                for q in cfg.q:
-                                    yield (a, b, m, x, lam, kappa, alpha, q)
+def _row(which, fn_name, pt, lhs, rhs, holds, tightness, res):
+    """One CSV line, in CSV_COLUMNS order."""
+    return ([which, fn_name] + [_fmt(v) for v in pt + (lhs, rhs)]
+            + [_fmt_bool(holds), _fmt(tightness), _fmt(res)])
 
 
-def _row(check, fn_name, pt, lhs, rhs, holds, tightness, res):
-    a, b, m, x, lam, kappa, alpha, q = pt
-    return {
-        "check": check, "fn": fn_name,
-        "a": _fmt(a), "b": _fmt(b), "m": _fmt(m), "x": _fmt(x),
-        "lambda": _fmt(lam), "kappa": _fmt(kappa), "alpha": _fmt(alpha),
-        "q": _fmt(q),
-        "lhs": _fmt(lhs), "rhs": _fmt(rhs), "holds": _fmt_bool(holds),
-        "tightness": _fmt(tightness), "residual": _fmt(res),
-    }
+def _write_csv(path: str, columns: tuple, rows: list) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+# --- the sweep's checks ------------------------------------------------------
+# Each producer maps (grid point, FnTriple, memo) to a list of
+# (which, lhs, rhs, holds, tightness, residual) rows.  Raising DomainError
+# or AdmissionError, or returning no rows, counts the pair as skipped.
+# Producers look bounds.* and residual up when called, never at import,
+# so code that swaps those module attributes sees every call.
+
+def _identity_rows(pt, fn, memo):
+    prm = Params(*pt)
+    chk = memoized(memo, ("identity",) + point_key(prm, fn),
+                   lambda: residual(prm, fn, memo))
+    return [("identity", chk.lhs, chk.rhs, chk.ok, 0.0, chk.residual)]
+
+
+def _bound_rows(rep):
+    return [(rep.which, rep.lhs, rep.rhs, rep.holds, rep.tightness, 0.0)]
+
+
+def _corollary_rows(pt, fn, memo):
+    prm = Params(*pt)
+    rows = []
+    for cid in bounds.COROLLARY_IDS:
+        try:
+            rep = bounds.corollary_check(cid, prm, fn, memo=memo)
+        except (DomainError, AdmissionError):
+            continue
+        rows.append((rep.which, rep.lhs, rep.rhs, rep.holds, rep.tightness,
+                     rep.discrepancy))
+    return rows
+
+
+def _phi_rows(pt, _fn, _memo):
+    """Closed form (lhs) vs oracle (rhs) of each moment defined at pt."""
+    lam, kappa, alpha, q = pt[4:]
+    p = q / (q - 1.0) if q > 1.0 else None
+    rows = []
+    for n in (1, 2, 3) if p is None else (1, 2, 3, 4):
+        closed = bounds.phi(n, kappa, lam, alpha=alpha, p=p)
+        oracle = bounds.phi_oracle(n, kappa, lam, alpha=alpha, p=p)
+        diff = abs(closed - oracle)
+        rows.append(("phi%d" % n, closed, oracle, diff <= PHI_ORACLE_TOL,
+                     0.0, diff))
+    return rows
+
+
+_CHECKS = {
+    "identity": _identity_rows,
+    "thm211": lambda pt, fn, memo: _bound_rows(
+        bounds.bound_thm211(Params(*pt), fn, memo=memo)),
+    "thm22": lambda pt, fn, memo: _bound_rows(
+        bounds.bound_thm22(Params(*pt), fn, memo=memo)),
+    "sarikaya": lambda pt, fn, memo: _bound_rows(
+        bounds.bound_sarikaya(fn, pt[0], pt[1], pt[4], pt[7], memo=memo)),
+    "remark": lambda pt, fn, memo: _bound_rows(
+        bounds.remark_bound(fn, pt[0], pt[1], pt[4], pt[7], memo=memo)),
+    "corollaries": _corollary_rows,
+}
+_SWEEP_CHECKS = tuple(_CHECKS) + ("phi-oracle",)
 
 
 def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
@@ -165,7 +209,9 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
     fail a precondition (invalid Params, unadmitted function, q = 1 for
     the Hoelder route) are counted as skipped, not errors.  phi-oracle
     rows do not involve a function and are emitted once per distinct
-    (kappa, lambda, alpha, q), with fn = "-".
+    (kappa, lambda, alpha, q), with fn = "-".  A (check, fn) pair whose
+    numerics fail (no convergence, a non-finite sample, an overflow) is
+    counted as failed, named on stderr, and the sweep goes on.
 
     Each distinct identity point (fn, a, b, m, x, lambda, kappa) is
     evaluated once per call: its residual, direct side and kernel side
@@ -176,108 +222,50 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
     memo: dict = {}
     rows = []
     skipped = 0
+    failed = 0
     held = 0
     worst_tight = 0.0
     max_resid = 0.0
     phi_seen = set()
 
-    for pt in _param_points(cfg):
-        a, b, m, x, lam, kappa, alpha, q = pt
+    for pt in itertools.product(cfg.a, cfg.b, cfg.m, cfg.x, cfg.lam,
+                                cfg.kappa, cfg.alpha, cfg.q):
         for check in cfg.checks:
             if check == "phi-oracle":
-                key = (kappa, lam, alpha, q)
-                if key in phi_seen:
+                if pt[4:] in phi_seen:
                     continue
-                phi_seen.add(key)
-                specs = [(1, bounds.phi1(kappa, lam),
-                          bounds.phi_oracle(1, kappa, lam)),
-                         (2, bounds.phi2(kappa, lam, alpha),
-                          bounds.phi_oracle(2, kappa, lam, alpha=alpha)),
-                         (3, bounds.phi3(kappa, lam, alpha),
-                          bounds.phi_oracle(3, kappa, lam, alpha=alpha))]
-                if q > 1.0:
-                    pp = q / (q - 1.0)
-                    specs.append((4, bounds.phi4(kappa, lam, pp),
-                                  bounds.phi_oracle(4, kappa, lam, p=pp)))
-                for n, closed, oracle in specs:
-                    diff = abs(closed - oracle)
-                    ok = diff <= PHI_ORACLE_TOL
-                    rows.append(_row("phi%d" % n, "-", pt, closed, oracle,
-                                     ok, 0.0, diff))
+                phi_seen.add(pt[4:])
+                batches = [("-", None, _phi_rows)]
+            else:
+                batches = [(name, by_name[name].fn, _CHECKS[check])
+                           for name in cfg.fns]
+            for fn_name, fn, produce in batches:
+                try:
+                    out = produce(pt, fn, memo)
+                except (DomainError, AdmissionError):
+                    out = []
+                except (ConvergenceError, EvaluationError,
+                        OverflowError) as exc:
+                    failed += 1
+                    where = " ".join("%s=%r" % kv for kv in
+                                     zip(_SWEEP_NUMERIC_KEYS, pt))
+                    print("sweep: %s failed for fn %s at %s: %s"
+                          % (check, fn_name, where, exc), file=sys.stderr)
+                    continue
+                if not out:
+                    skipped += 1
+                for which, lhs, rhs, ok, tight, res in out:
+                    rows.append(_row(which, fn_name, pt, lhs, rhs, ok,
+                                     tight, res))
                     held += ok
-                continue
+                    worst_tight = max(worst_tight, tight)
+                    if which == "identity":
+                        max_resid = max(max_resid, res)
 
-            for fn_name in cfg.fns:
-                entry = by_name[fn_name]
-                if check == "identity":
-                    try:
-                        prm = Params(a=a, b=b, m=m, x=x, lam=lam, kappa=kappa,
-                                     alpha=alpha, q=q)
-                    except DomainError:
-                        skipped += 1
-                        continue
-                    key = ("identity",) + point_key(prm, entry.fn)
-                    chk = memoized(memo, key,
-                                   lambda: residual(prm, entry.fn, memo))
-                    rows.append(_row(check, fn_name, pt, chk.lhs, chk.rhs,
-                                     chk.ok, 0.0, chk.residual))
-                    held += chk.ok
-                    max_resid = max(max_resid, chk.residual)
-                elif check in ("thm211", "thm22"):
-                    try:
-                        prm = Params(a=a, b=b, m=m, x=x, lam=lam, kappa=kappa,
-                                     alpha=alpha, q=q)
-                        fnc = (bounds.bound_thm211 if check == "thm211"
-                               else bounds.bound_thm22)
-                        rep = fnc(prm, entry.fn, memo=memo)
-                    except (DomainError, AdmissionError):
-                        skipped += 1
-                        continue
-                    rows.append(_row(check, fn_name, pt, rep.lhs, rep.rhs,
-                                     rep.holds, rep.tightness, 0.0))
-                    held += rep.holds
-                    worst_tight = max(worst_tight, rep.tightness)
-                elif check in ("sarikaya", "remark"):
-                    try:
-                        fnc = (bounds.bound_sarikaya if check == "sarikaya"
-                               else bounds.remark_bound)
-                        rep = fnc(entry.fn, a, b, lam, q, memo=memo)
-                    except (DomainError, AdmissionError):
-                        skipped += 1
-                        continue
-                    rows.append(_row(check, fn_name, pt, rep.lhs, rep.rhs,
-                                     rep.holds, rep.tightness, 0.0))
-                    held += rep.holds
-                    worst_tight = max(worst_tight, rep.tightness)
-                elif check == "corollaries":
-                    try:
-                        prm = Params(a=a, b=b, m=m, x=x, lam=lam, kappa=kappa,
-                                     alpha=alpha, q=q)
-                    except DomainError:
-                        skipped += 1
-                        continue
-                    emitted = False
-                    for cid in bounds.COROLLARY_IDS:
-                        try:
-                            rep = bounds.corollary_check(cid, prm, entry.fn,
-                                                         memo=memo)
-                        except (DomainError, AdmissionError):
-                            continue
-                        rows.append(_row(rep.which, fn_name, pt, rep.lhs,
-                                         rep.rhs, rep.holds, rep.tightness,
-                                         rep.discrepancy))
-                        held += rep.holds
-                        worst_tight = max(worst_tight, rep.tightness)
-                        emitted = True
-                    if not emitted:
-                        skipped += 1
-
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out_path, CSV_COLUMNS, rows)
     return SweepSummary(rows_total=len(rows), rows_held=int(held),
-                        skipped=skipped, worst_tightness=worst_tight,
+                        skipped=skipped, failed=failed,
+                        worst_tightness=worst_tight,
                         max_identity_residual=max_resid)
 
 
@@ -378,10 +366,7 @@ def remark_comparison_table(a: float = 0.0, b: float = 1.0) -> list:
 def write_remark_table(rows: list, out_path: str) -> None:
     cols = ("fn", "lambda", "q", "lhs", "remark_rhs", "sarikaya_rhs",
             "remark_holds", "sarikaya_holds", "remark_leq_sarikaya")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=cols)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out_path, cols, [[r[c] for c in cols] for r in rows])
 
 
 # --- CLI -------------------------------------------------------------------
@@ -441,21 +426,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_phi(args) -> int:
     k, lam = args.kappa, args.lam
-    if args.which == 1:
-        closed = bounds.phi1(k, lam)
-        oracle = bounds.phi_oracle(1, k, lam) if args.oracle else None
-    elif args.which in (2, 3):
-        if args.alpha is None:
-            raise DomainError("phi%d needs --alpha" % args.which)
-        fnc = bounds.phi2 if args.which == 2 else bounds.phi3
-        closed = fnc(k, lam, args.alpha)
-        oracle = (bounds.phi_oracle(args.which, k, lam, alpha=args.alpha)
-                  if args.oracle else None)
-    else:
-        if args.p is None:
-            raise DomainError("phi4 needs --p")
-        closed = bounds.phi4(k, lam, args.p)
-        oracle = bounds.phi_oracle(4, k, lam, p=args.p) if args.oracle else None
+    kw = dict(alpha=args.alpha, p=args.p)
+    closed = bounds.phi(args.which, k, lam, **kw)
+    oracle = bounds.phi_oracle(args.which, k, lam, **kw) if args.oracle else None
     print("phi%d = %s" % (args.which, _fmt(closed)))
     if oracle is not None:
         print("oracle = %s" % _fmt(oracle))
@@ -465,11 +438,13 @@ def _cmd_phi(args) -> int:
     return 0
 
 
+def _params(args) -> Params:
+    return Params(a=args.a, b=args.b, m=args.m, x=args.x, lam=args.lam,
+                  kappa=args.kappa, alpha=args.alpha, q=args.q)
+
+
 def _cmd_identity(args) -> int:
-    fn = corpus_by_name()[args.fn].fn
-    prm = Params(a=args.a, b=args.b, m=args.m, x=args.x, lam=args.lam,
-                 kappa=args.kappa, alpha=args.alpha, q=args.q)
-    chk = residual(prm, fn)
+    chk = residual(_params(args), corpus_by_name()[args.fn].fn)
     print("lhs      = %s" % _fmt(chk.lhs))
     print("rhs      = %s" % _fmt(chk.rhs))
     print("residual = %.6g (budget %.6g)" % (chk.residual,
@@ -480,23 +455,20 @@ def _cmd_identity(args) -> int:
 
 def _cmd_bound(args) -> int:
     fn = corpus_by_name()[args.fn].fn
-    if args.thm in ("sarikaya", "remark"):
-        if args.thm == "sarikaya":
-            rep = bounds.bound_sarikaya(fn, args.a, args.b, args.lam, args.q,
-                                        literal=args.literal)
-        else:
-            rep = bounds.remark_bound(fn, args.a, args.b, args.lam, args.q)
+    if args.thm == "sarikaya":
+        rep = bounds.bound_sarikaya(fn, args.a, args.b, args.lam, args.q,
+                                    literal=args.literal)
+    elif args.thm == "remark":
+        rep = bounds.remark_bound(fn, args.a, args.b, args.lam, args.q)
+    elif args.thm == "211":
+        rep = bounds.bound_thm211(_params(args), fn)
+    elif args.thm == "22":
+        rep = bounds.bound_thm22(_params(args), fn)
+    elif args.thm.startswith("corollary:"):
+        rep = bounds.corollary_check(args.thm.split(":", 1)[1], _params(args),
+                                     fn)
     else:
-        prm = Params(a=args.a, b=args.b, m=args.m, x=args.x, lam=args.lam,
-                     kappa=args.kappa, alpha=args.alpha, q=args.q)
-        if args.thm == "211":
-            rep = bounds.bound_thm211(prm, fn)
-        elif args.thm == "22":
-            rep = bounds.bound_thm22(prm, fn)
-        elif args.thm.startswith("corollary:"):
-            rep = bounds.corollary_check(args.thm.split(":", 1)[1], prm, fn)
-        else:
-            raise DomainError("unknown --thm %r" % (args.thm,))
+        raise DomainError("unknown --thm %r" % (args.thm,))
     print("which     = %s" % rep.which)
     print("lhs       = %s" % _fmt(rep.lhs))
     print("rhs       = %s" % _fmt(rep.rhs))
@@ -514,8 +486,9 @@ def _cmd_bound(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = parse_sweep_config(args.config)
     summary = run_sweep(cfg, args.out)
-    print("rows=%d held=%d skipped=%d" % (summary.rows_total,
-                                          summary.rows_held, summary.skipped))
+    print("rows=%d held=%d skipped=%d failed=%d"
+          % (summary.rows_total, summary.rows_held, summary.skipped,
+             summary.failed))
     print("worst_tightness=%s" % _fmt(summary.worst_tightness))
     print("max_identity_residual=%s" % _fmt(summary.max_identity_residual))
     print("wrote %s" % args.out)
@@ -547,6 +520,16 @@ def _cmd_remark_table(args) -> int:
     return 0 if all_hold else 1
 
 
+_COMMANDS = {
+    "phi": _cmd_phi,
+    "identity-check": _cmd_identity,
+    "bound-check": _cmd_bound,
+    "sweep": _cmd_sweep,
+    "sanity": _cmd_sanity,
+    "remark-table": _cmd_remark_table,
+}
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
@@ -554,19 +537,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "phi":
-            return _cmd_phi(args)
-        if args.command == "identity-check":
-            return _cmd_identity(args)
-        if args.command == "bound-check":
-            return _cmd_bound(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "sanity":
-            return _cmd_sanity(args)
-        if args.command == "remark-table":
-            return _cmd_remark_table(args)
-        raise DomainError("unknown command %r" % (args.command,))
+        return _COMMANDS[args.command](args)
     except (DomainError, AdmissionError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

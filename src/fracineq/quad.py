@@ -76,10 +76,11 @@ class QuadResult:
 
 
 class _Evaluator:
-    """Calls f on a node array, falling back to a scalar loop.
+    """Calls f on an array of any shape, falling back to a scalar loop.
 
-    The vector path is tried once; integrands built from numpy ufuncs get
-    evaluated fifteen nodes at a time, plain-Python ones per node.
+    The vector path is tried until it fails once; integrands built from
+    numpy ufuncs get evaluated a whole array at a time, plain-Python ones
+    per element.
     """
 
     def __init__(self, f: Callable[[float], float]):
@@ -96,7 +97,8 @@ class _Evaluator:
             except (TypeError, ValueError, AttributeError, IndexError):
                 pass
             self.vectorized = False
-        return np.array([float(self.f(float(x))) for x in xs])
+        return np.array([float(self.f(float(x))) for x in xs.ravel()]
+                        ).reshape(xs.shape)
 
 
 def _gk15(ev: _Evaluator, lo: float, hi: float) -> tuple[float, float]:

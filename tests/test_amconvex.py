@@ -5,8 +5,7 @@ import pytest
 
 from fracineq import AdmissionError, DomainError, EvaluationError, FnTriple
 from fracineq import check_am_convex, corpus, corpus_by_name
-from fracineq.amconvex import (check_midpoint_convex, is_admitted,
-                               validate_derivatives)
+from fracineq.amconvex import is_admitted, validate_derivatives
 
 
 def test_corpus_has_six_members_with_claims():
@@ -95,11 +94,6 @@ def test_non_finite_samples_reported():
 def test_scalar_only_callable_falls_back():
     r = check_am_convex(lambda u: math.exp(u), 1.0, 1.0, grid=(9, 9, 9))
     assert r.holds
-
-
-def test_midpoint_checker_agrees_on_smooth_convex():
-    assert check_midpoint_convex(lambda u: np.asarray(u) ** 4) <= 1e-12
-    assert check_midpoint_convex(lambda u: -np.asarray(u) ** 2) > 1e-3
 
 
 def test_admission_cache_returns_same_report():

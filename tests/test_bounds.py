@@ -14,7 +14,7 @@ import pytest
 from fracineq import (AdmissionError, DomainError, Params, beta, beta_inc,
                       bound_sarikaya, bound_thm211, bound_thm22,
                       corpus_by_name, direct_side, phi1, phi2, phi3,
-                      phi3_literal, phi4, phi4_literal, phi_oracle, phi_set,
+                      phi, phi3_literal, phi4, phi4_literal, phi_oracle,
                       remark_bound)
 from fracineq.amconvex import FnTriple
 from fracineq.bounds import remark_phi1, remark_phi2, remark_phi3
@@ -131,13 +131,31 @@ def test_decomposition(k, alpha):
         assert abs(s - phi1(k, lam)) <= 1e-13
 
 
-def test_phi_set_regimes():
-    assert phi_set(1.0, 0.0, 1.0).regime == "lambda-zero"
-    assert phi_set(1.0, 0.2, 1.0).regime == "below-kink"
-    assert phi_set(1.0, 0.9, 1.0).regime == "above-kink"
-    s = phi_set(1.0, 1.0 / 3.0, 1.0, p=2.0)
-    assert abs(s.phi1 - 8.0 / 81.0) <= 1e-15
-    assert abs(s.phi4 - 2.0 / 135.0) <= 1e-15
+def test_phi1_phi4_pinned_at_lambda_one_third():
+    assert abs(phi1(1.0, 1.0 / 3.0) - 8.0 / 81.0) <= 1e-15
+    assert abs(phi4(1.0, 1.0 / 3.0, 2.0) - 2.0 / 135.0) <= 1e-15
+
+
+@pytest.mark.parametrize("k", (0.5, 1.0, 2.0))
+@pytest.mark.parametrize("lam", (0.0, 0.2, 1.0 / 3.0, 0.9))
+def test_phi_dispatches_to_each_closed_form(k, lam):
+    for alpha in (0.25, 1.0):
+        for p in (1.5, 3.0):
+            assert phi(1, k, lam, alpha=alpha, p=p) == phi1(k, lam)
+            assert phi(2, k, lam, alpha=alpha, p=p) == phi2(k, lam, alpha)
+            assert phi(3, k, lam, alpha=alpha, p=p) == phi3(k, lam, alpha)
+            assert phi(4, k, lam, alpha=alpha, p=p) == phi4(k, lam, p)
+
+
+def test_phi_needs_its_arguments():
+    with pytest.raises(DomainError):
+        phi(2, 1.0, 0.5)
+    with pytest.raises(DomainError):
+        phi(3, 1.0, 0.5, p=2.0)
+    with pytest.raises(DomainError):
+        phi(4, 1.0, 0.5, alpha=1.0)
+    with pytest.raises(DomainError):
+        phi(5, 1.0, 0.5, alpha=1.0, p=2.0)
 
 
 def test_phi_domain_errors():

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from fracineq import DomainError, gamma, rl_left, rl_right
-from fracineq.fracint import RLSpec, rl_left_result
+from fracineq.fracint import rl_left_result
 from fracineq.quad import Tolerance
 
 
@@ -80,12 +80,3 @@ def test_domain_errors():
         rl_right(math.exp, 1.0, 0.5, 1.0)   # needs x < b
     with pytest.raises(DomainError):
         rl_right(math.exp, 1.0, math.nan, 0.5)
-
-
-def test_spec_apply_matches_free_functions():
-    left = RLSpec(kappa=0.5, anchor=0.0, side="left")
-    right = RLSpec(kappa=0.5, anchor=1.0, side="right")
-    assert left.apply(math.exp, 0.9) == rl_left(math.exp, 0.0, 0.5, 0.9)
-    assert right.apply(math.exp, 0.1) == rl_right(math.exp, 1.0, 0.5, 0.1)
-    with pytest.raises(DomainError):
-        RLSpec(kappa=1.0, anchor=0.0, side="middle").apply(math.exp, 0.5)

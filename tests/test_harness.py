@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import fracineq.amconvex
 import fracineq.bounds
 import fracineq.identity
 from fracineq import (DomainError, FnTriple, Params, bound_sarikaya,
@@ -139,6 +140,25 @@ def test_sweep_corollary_rows_skip_inapplicable(tmp_path):
     assert summary.ok
 
 
+def test_sweep_counts_a_numerical_failure_and_goes_on(tmp_path, capsys):
+    # q = 1.001 puts the Hoelder exponent past gamma's range; the q = 2
+    # rows must still be written and the run must end with exit code 1
+    cfg = write_cfg(tmp_path, "a=0\nb=1\nm=1\nx=0.5\nlambda=0.5\nkappa=1\n"
+                              "alpha=1\nq=2\nq=1.001\nfn=exp\ncheck=thm22\n")
+    out = str(tmp_path / "rows.csv")
+    summary = run_sweep(parse_sweep_config(cfg), out)
+    assert summary.failed == 1 and not summary.ok
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["q"] for r in rows] == ["2"]
+    err = capsys.readouterr().err
+    assert "thm22" in err and "exp" in err and "q=1.001" in err
+    os.remove(out)
+    assert main(["sweep", "--config", cfg, "--out", out]) == 1
+    assert os.path.exists(out)
+    assert "failed=1" in capsys.readouterr().out
+
+
 def test_sweep_summary_worst_tightness(tmp_path):
     out = str(tmp_path / "rows.csv")
     summary = run_sweep(small_config(), out)
@@ -250,6 +270,18 @@ def test_remark_table_shape_and_validity():
     assert fns == {"exp", "quart/12"}
 
 
+def test_remark_table_reuses_cached_admissions(monkeypatch):
+    # the corpus is built once, so a second table finds every admission
+    # in the cache and runs no grid check
+    remark_comparison_table()
+    checks = []
+    check = fracineq.amconvex.check_am_convex
+    monkeypatch.setattr(fracineq.amconvex, "check_am_convex",
+                        lambda *a, **kw: checks.append(a) or check(*a, **kw))
+    remark_comparison_table()
+    assert checks == []
+
+
 def test_remark_table_reports_not_asserts_the_comparison(tmp_path):
     rows = remark_comparison_table()
     # the comparison column exists and is measured...
@@ -297,6 +329,8 @@ def test_cli_bound_check_thm_and_corollary(capsys):
 
 def test_cli_domain_errors_exit_2(capsys):
     assert main(["phi", "3", "--kappa", "1", "--lambda", "0.5"]) == 2  # no alpha
+    assert main(["phi", "2", "--kappa", "1", "--lambda", "0.5"]) == 2
+    assert main(["phi", "4", "--kappa", "1", "--lambda", "0.5"]) == 2  # no p
     capsys.readouterr()
     assert main(["identity-check", "--fn", "exp", "--a", "0", "--b", "1",
                  "--m", "1", "--x", "0.5", "--lambda", "2", "--kappa", "1"]) == 2
