@@ -326,8 +326,14 @@ def bound_thm211(p: Params, fn: FnTriple, check_admission: bool = True,
                  memo: dict | None = None) -> BoundReport:
     """Power-mean route: phi1^(1-1/q) with the phi2/phi3 inner mix.
 
-    The lhs is |direct side|, taken from memo when one is given.
+    With a memo the report is computed once per (fn, p, check_admission),
+    and its lhs, |direct side|, once per identity point.
     """
+    return memoized(memo, ("thm211", fn, p, check_admission),
+                    lambda: _thm211(p, fn, check_admission, memo))
+
+
+def _thm211(p, fn, check_admission, memo):
     lhs = _theorem_lhs(p, fn, check_admission, memo)
     f1 = phi1(p.kappa, p.lam)
     f2 = phi2(p.kappa, p.lam, p.alpha)
@@ -346,8 +352,14 @@ def bound_thm22(p: Params, fn: FnTriple, check_admission: bool = True,
                 memo: dict | None = None) -> BoundReport:
     """Hoelder route: phi4^(1/p) with the flat (alpha+1) inner mix; q > 1.
 
-    The lhs is |direct side|, taken from memo when one is given.
+    With a memo the report is computed once per (fn, p, check_admission),
+    and its lhs, |direct side|, once per identity point.
     """
+    return memoized(memo, ("thm22", fn, p, check_admission),
+                    lambda: _thm22(p, fn, check_admission, memo))
+
+
+def _thm22(p, fn, check_admission, memo):
     if not p.q > 1.0:
         raise DomainError("the Hoelder route needs q > 1, got q=%r" % (p.q,))
     lhs = _theorem_lhs(p, fn, check_admission, memo)

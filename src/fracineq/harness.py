@@ -21,6 +21,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bounds
 from .amconvex import corpus, corpus_by_name
@@ -146,8 +147,19 @@ def _write_csv(path: str, columns: tuple, rows: list) -> None:
 # Each producer maps (grid point, FnTriple, memo) to a list of
 # (which, lhs, rhs, holds, tightness, residual) rows.  Raising DomainError
 # or AdmissionError, or returning no rows, counts the pair as skipped.
+# Raising a numerical error counts the pair as failed; a producer that
+# emits several rows puts a _Failed in place of each row whose numerics
+# failed, so the rows that computed fine are kept.
 # Producers look bounds.* and residual up when called, never at import,
 # so code that swaps those module attributes sees every call.
+
+_NUMERICAL_ERRORS = (ConvergenceError, EvaluationError, OverflowError)
+
+
+class _Failed(NamedTuple):
+    which: str
+    error: Exception
+
 
 def _identity_rows(pt, fn, memo):
     prm = Params(*pt)
@@ -168,6 +180,9 @@ def _corollary_rows(pt, fn, memo):
             rep = bounds.corollary_check(cid, prm, fn, memo=memo)
         except (DomainError, AdmissionError):
             continue
+        except _NUMERICAL_ERRORS as exc:
+            rows.append(_Failed("corollary:" + cid, exc))
+            continue
         rows.append((rep.which, rep.lhs, rep.rhs, rep.holds, rep.tightness,
                      rep.discrepancy))
     return rows
@@ -179,8 +194,12 @@ def _phi_rows(pt, _fn, _memo):
     p = q / (q - 1.0) if q > 1.0 else None
     rows = []
     for n in (1, 2, 3) if p is None else (1, 2, 3, 4):
-        closed = bounds.phi(n, kappa, lam, alpha=alpha, p=p)
-        oracle = bounds.phi_oracle(n, kappa, lam, alpha=alpha, p=p)
+        try:
+            closed = bounds.phi(n, kappa, lam, alpha=alpha, p=p)
+            oracle = bounds.phi_oracle(n, kappa, lam, alpha=alpha, p=p)
+        except _NUMERICAL_ERRORS as exc:
+            rows.append(_Failed("phi%d" % n, exc))
+            continue
         diff = abs(closed - oracle)
         rows.append(("phi%d" % n, closed, oracle, diff <= PHI_ORACLE_TOL,
                      0.0, diff))
@@ -209,14 +228,17 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
     fail a precondition (invalid Params, unadmitted function, q = 1 for
     the Hoelder route) are counted as skipped, not errors.  phi-oracle
     rows do not involve a function and are emitted once per distinct
-    (kappa, lambda, alpha, q), with fn = "-".  A (check, fn) pair whose
-    numerics fail (no convergence, a non-finite sample, an overflow) is
-    counted as failed, named on stderr, and the sweep goes on.
+    (kappa, lambda, alpha, q), with fn = "-".  A row whose numerics fail
+    (no convergence, a non-finite sample, an overflow) is counted as
+    failed, named on stderr, and the sweep goes on; a corollary id or a
+    phi moment fails alone, any other check for its whole (check, fn)
+    pair.
 
-    Each distinct identity point (fn, a, b, m, x, lambda, kappa) is
-    evaluated once per call: its residual, direct side and kernel side
-    are shared by every check and every alpha and q, and the Simpson
-    blend lhs once per (fn, a, b, lambda).
+    Each value is computed once per call and shared by every check and
+    every alpha and q that reads it: each one-sided RL integral and each
+    kernel half, the direct and kernel sides and residual of each
+    identity point (fn, a, b, m, x, lambda, kappa), each thm211/thm22
+    report, and the Simpson blend lhs per (fn, a, b, lambda).
     """
     by_name = corpus_by_name()
     memo: dict = {}
@@ -244,17 +266,20 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
                     out = produce(pt, fn, memo)
                 except (DomainError, AdmissionError):
                     out = []
-                except (ConvergenceError, EvaluationError,
-                        OverflowError) as exc:
-                    failed += 1
-                    where = " ".join("%s=%r" % kv for kv in
-                                     zip(_SWEEP_NUMERIC_KEYS, pt))
-                    print("sweep: %s failed for fn %s at %s: %s"
-                          % (check, fn_name, where, exc), file=sys.stderr)
-                    continue
+                except _NUMERICAL_ERRORS as exc:
+                    out = [_Failed(check, exc)]
                 if not out:
                     skipped += 1
-                for which, lhs, rhs, ok, tight, res in out:
+                for row in out:
+                    if isinstance(row, _Failed):
+                        failed += 1
+                        where = " ".join("%s=%r" % kv for kv in
+                                         zip(_SWEEP_NUMERIC_KEYS, pt))
+                        print("sweep: %s failed for fn %s at %s: %s"
+                              % (row.which, fn_name, where, row.error),
+                              file=sys.stderr)
+                        continue
+                    which, lhs, rhs, ok, tight, res = row
                     rows.append(_row(which, fn_name, pt, lhs, rhs, ok,
                                      tight, res))
                     held += ok
@@ -541,7 +566,7 @@ def main(argv=None) -> int:
     except (DomainError, AdmissionError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ConvergenceError, EvaluationError, OverflowError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 1
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .amconvex import FnTriple
 from .errors import DomainError
 from .fracint import rl_left_result, rl_right_result
@@ -126,7 +128,8 @@ def point_key(p: Params, fn: FnTriple) -> tuple:
     return (fn, p.a, p.b, p.m, p.x, p.lam, p.kappa)
 
 
-def _direct_with_budget(p: Params, fn: FnTriple) -> tuple[float, float]:
+def _direct_with_budget(p: Params, fn: FnTriple,
+                        memo: dict | None = None) -> tuple[float, float]:
     mb, w, k = p.mb, p.width, p.kappa
     xa = p.x - p.a
     bx = mb - p.x
@@ -137,12 +140,17 @@ def _direct_with_budget(p: Params, fn: FnTriple) -> tuple[float, float]:
     gk1 = gamma(k + 1.0)
     frac = 0.0
     budget = 0.0
+    # neither integral reads lambda, and each reads only its own end
     if xa > 0.0:
-        res = rl_right_result(fn.f, b=p.x, kappa=k, x=p.a, tol=_KERNEL_TOL)
+        res = memoized(memo, ("rl-right", fn, p.a, p.x, k),
+                       lambda: rl_right_result(fn.f, b=p.x, kappa=k, x=p.a,
+                                               tol=_KERNEL_TOL))
         frac += res.value
         budget += res.abs_error_estimate
     if bx > 0.0:
-        res = rl_left_result(fn.f, a=p.x, kappa=k, x=mb, tol=_KERNEL_TOL)
+        res = memoized(memo, ("rl-left", fn, p.x, mb, k),
+                       lambda: rl_left_result(fn.f, a=p.x, kappa=k, x=mb,
+                                              tol=_KERNEL_TOL))
         frac += res.value
         budget += res.abs_error_estimate
     value -= gk1 / w * frac
@@ -154,35 +162,44 @@ def direct_side(p: Params, fn: FnTriple) -> float:
     return _direct_with_budget(p, fn)[0]
 
 
-def _kernel_with_budget(p: Params, fn: FnTriple) -> tuple[float, float]:
-    k, lam = p.kappa, p.lam
+def _kernel_half(fn: FnTriple, anchor: float, x: float, lam: float,
+                 k: float) -> tuple[float, float]:
+    """int_0^1 t ((k+1)lam - t^k) f''(anchor + t (x - anchor)) dt, budget."""
     c = (k + 1.0) * lam
     tstar = c ** (1.0 / k) if 0.0 < c < 1.0 else None
     cuts = [0.0, 1.0] if tstar is None else [0.0, tstar, 1.0]
+    ddf, span = fn.ddf, x - anchor
 
-    def segments(second_deriv_at):
-        total, budget = 0.0, 0.0
-        g = lambda t: t * (c - t ** k) * second_deriv_at(t)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            res = integrate(g, lo, hi, _KERNEL_TOL)
-            total += res.value
-            budget += res.abs_error_estimate
-        return total, budget
+    # one call per GK pass: scalar C arithmetic keeps every bit of the
+    # per-node loop, without a failed vector probe on each integrate call.
+    # ravel lets the evaluator's scalar retry re-raise an error from ddf.
+    def g(ts):
+        return [t * (c - t ** k) * float(ddf(anchor + t * span))
+                for t in np.ravel(ts).tolist()]
 
+    total, budget = 0.0, 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        res = integrate(g, lo, hi, _KERNEL_TOL)
+        total += res.value
+        budget += res.abs_error_estimate
+    return total, budget
+
+
+def _kernel_with_budget(p: Params, fn: FnTriple,
+                        memo: dict | None = None) -> tuple[float, float]:
+    k, lam = p.kappa, p.lam
     mb, w = p.mb, p.width
     xa = p.x - p.a
     bx = mb - p.x
     value, budget = 0.0, 0.0
-    if xa > 0.0:
-        coef = xa ** (k + 2.0) / ((k + 1.0) * w)
-        tot, bud = segments(lambda t: float(fn.ddf(p.a + t * (p.x - p.a))))
-        value += coef * tot
-        budget += coef * bud
-    if bx > 0.0:
-        coef = bx ** (k + 2.0) / ((k + 1.0) * w)
-        tot, bud = segments(lambda t: float(fn.ddf(mb + t * (p.x - mb))))
-        value += coef * tot
-        budget += coef * bud
+    # each half reads only its own anchor: a, or m b
+    for gap, anchor in ((xa, p.a), (bx, mb)):
+        if gap > 0.0:
+            coef = gap ** (k + 2.0) / ((k + 1.0) * w)
+            tot, bud = memoized(memo, ("kernel-half", fn, anchor, p.x, lam, k),
+                                lambda: _kernel_half(fn, anchor, p.x, lam, k))
+            value += coef * tot
+            budget += coef * bud
     return value, budget
 
 
@@ -200,20 +217,20 @@ def direct_with_budget(p: Params, fn: FnTriple,
                        memo: dict | None = None) -> tuple[float, float]:
     """The direct side and its quadrature budget, once per point in a memo."""
     return memoized(memo, ("direct",) + point_key(p, fn),
-                    lambda: _direct_with_budget(p, fn))
+                    lambda: _direct_with_budget(p, fn, memo))
 
 
 def residual(p: Params, fn: FnTriple,
              memo: dict | None = None) -> IdentityCheck:
     """|direct - kernel| against the sum of both sides' quadrature budgets.
 
-    With a memo, each side is computed at most once per point.  Of the
+    With a memo, the direct side is computed at most once per point and
+    each kernel half once; summing the halves is left uncached.  Of the
     sweep's checks only this one reads the kernel side, so a sweep
     without identity checks never starts a kernel integral.
     """
     lhs, b1 = direct_with_budget(p, fn, memo)
-    rhs, b2 = memoized(memo, ("kernel",) + point_key(p, fn),
-                       lambda: _kernel_with_budget(p, fn))
+    rhs, b2 = _kernel_with_budget(p, fn, memo)
     return IdentityCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
                          quad_error_budget=b1 + b2)
 

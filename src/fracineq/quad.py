@@ -107,15 +107,18 @@ def _gk15(ev: _Evaluator, lo: float, hi: float) -> tuple[float, float]:
     half = 0.5 * (hi - lo)
     xs = center + half * _NODES
     ys = ev(xs)
-    if not np.all(np.isfinite(ys)):
-        bad = xs[~np.isfinite(ys)][0]
-        raise EvaluationError(
-            "integrand returned a non-finite value at t=%.17g" % bad,
-            abscissa=float(bad),
-        )
+    # every Kronrod weight is positive, so any non-finite sample makes
+    # resabs non-finite; only then are the samples checked for one
+    resabs = float(_WK15 @ np.abs(ys))
+    if not math.isfinite(resabs):
+        bad = xs[~np.isfinite(ys)]
+        if bad.size:
+            raise EvaluationError(
+                "integrand returned a non-finite value at t=%.17g" % bad[0],
+                abscissa=float(bad[0]),
+            )
     resk = float(_WK15 @ ys)
     resg = float(_WG15 @ ys)
-    resabs = float(_WK15 @ np.abs(ys))
     mean = 0.5 * resk
     resasc = float(_WK15 @ np.abs(ys - mean))
     err = abs((resk - resg) * half)

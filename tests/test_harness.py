@@ -187,9 +187,9 @@ def _spy(monkeypatch, module, name):
     calls = collections.Counter()
     original = getattr(module, name)
 
-    def spy(p, fn):
+    def spy(p, fn, memo=None):
         calls[(fn, p.a, p.b, p.m, p.x, p.lam, p.kappa)] += 1
-        return original(p, fn)
+        return original(p, fn, memo)
 
     monkeypatch.setattr(module, name, spy)
     return calls
@@ -212,6 +212,71 @@ def test_bounds_only_sweep_runs_no_kernel_integral(tmp_path, monkeypatch):
     assert summary.rows_total == 4
     assert set(direct.values()) == {1} and len(direct) == 2
     assert not kernel
+
+
+def _spy_args(monkeypatch, module, name):
+    """Count the calls of module.name that return, by their arguments.
+
+    A call that raises stores nothing in the memo, so it is not counted.
+    """
+    calls = collections.Counter()
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        value = original(*args, **kwargs)
+        key = args + tuple(sorted(kwargs.items()))
+        calls[tuple(v for v in key if not isinstance(v, dict))] += 1
+        return value
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_sweep_computes_each_one_sided_integral_once(tmp_path, monkeypatch):
+    # neither RL integral reads lambda and each kernel half reads only its
+    # own anchor, so the two lambdas and the shared x-stations of the small
+    # config repeat every one of them across identity points
+    spies = {name: _spy_args(monkeypatch, fracineq.identity, name)
+             for name in ("rl_left_result", "rl_right_result", "_kernel_half")}
+    direct = _spy(monkeypatch, fracineq.identity, "_direct_with_budget")
+    run_sweep(parse_sweep_config(SMALL_SWEEP_CFG), str(tmp_path / "r.csv"))
+    for name, calls in spies.items():
+        assert calls and set(calls.values()) == {1}, name
+    # fewer integrals than identity points is where the saving comes from
+    assert len(spies["rl_left_result"]) < len(direct)
+    assert len(spies["rl_right_result"]) < len(direct)
+
+
+def test_sweep_computes_each_theorem_report_once(tmp_path, monkeypatch):
+    # the thm211/thm22 rows and every corollary id at a point share one
+    # report; an unadmitted point raises each time and stores nothing
+    bodies = {name: _spy_args(monkeypatch, fracineq.bounds, name)
+              for name in ("_thm211", "_thm22")}
+    out = str(tmp_path / "r.csv")
+    summary = run_sweep(parse_sweep_config(SMALL_SWEEP_CFG), out)
+    assert summary.rows_total == 250
+    for name, calls in bodies.items():
+        assert calls and set(calls.values()) == {1}, name
+
+
+def test_sweep_keeps_the_rows_that_computed_when_some_overflow(
+        tmp_path, capsys):
+    # at q = 1.001 the Hoelder exponent p = 1001 overflows gamma: the
+    # thm22-based corollaries and phi4 fail, the rest must still be written
+    cfg = write_cfg(tmp_path, "a=0\nb=1\nm=1\nx=0.5\nlambda=0.3333333333333333"
+                              "\nkappa=1\nalpha=1\nq=1.001\nfn=exp\n"
+                              "check=corollaries\ncheck=phi-oracle\n")
+    out = str(tmp_path / "rows.csv")
+    summary = run_sweep(parse_sweep_config(cfg), out)
+    with open(out, newline="") as fh:
+        written = [r["check"] for r in csv.DictReader(fh)]
+    assert written == ["corollary:2a-b", "corollary:2a-c", "corollary:2a-d",
+                       "phi1", "phi2", "phi3"]
+    assert summary.failed == 4 and summary.skipped == 0 and not summary.ok
+    err = capsys.readouterr().err
+    for which in ("corollary:2b-a", "corollary:2b-b", "corollary:2b-c",
+                  "phi4"):
+        assert "sweep: %s failed for fn " % which in err
 
 
 def test_sweep_integrates_simpson_lhs_once_per_fn_interval_lambda(

@@ -120,6 +120,28 @@ def test_standard_grid_residuals_exp():
     assert worst <= 1e-10
 
 
+def test_memo_shared_across_points_changes_no_bit():
+    # one memo over the whole grid: the points share RL integrals across
+    # lambda and kernel halves across m and x, and every field of every
+    # residual must still equal the one computed afresh
+    memo = {}
+    for fn in FNS.values():
+        for p in standard_grid(0.0, 1.0):
+            assert residual(p, fn, memo) == residual(p, fn), (fn.name, p)
+    halves = [k for k in memo if k[0] == "kernel-half"]
+    points = [k for k in memo if k[0] == "direct"]
+    assert 0 < len(halves) < 2 * len(points)
+
+
+def test_kernel_side_passes_on_the_error_of_a_raising_second_derivative():
+    def ddf(u):
+        raise ValueError("no f'' at %r" % u)
+
+    fn = FnTriple(f=math.exp, df=math.exp, ddf=ddf, name="raises")
+    with pytest.raises(ValueError, match="no f''"):
+        kernel_side(Params(a=0.0, b=1.0, m=1.0, x=0.5, lam=0.5, kappa=1.0), fn)
+
+
 def test_params_validation():
     with pytest.raises(DomainError):
         Params(a=-0.1, b=1.0, m=1.0, x=0.5, lam=0.5, kappa=1.0)

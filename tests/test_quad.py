@@ -77,6 +77,23 @@ def test_evaluation_error_reports_abscissa():
     assert 0.4 < exc.value.abscissa < 0.6
 
 
+def test_infinite_sample_reports_its_abscissa():
+    # the first Kronrod node past 0.9 in ascending order: 0.5 + 0.5 * x_3
+    first_bad = 0.5 + 0.5 * 0.864864423359769072789712788640926
+    with pytest.raises(EvaluationError) as exc:
+        integrate(lambda t: math.inf if t > 0.9 else t, 0.0, 1.0)
+    assert exc.value.abscissa == first_bad
+    assert "t=%.17g" % first_bad in str(exc.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_huge_finite_samples_are_not_an_evaluation_error():
+    # every sample is finite, so no EvaluationError; the weighted sums
+    # overflow to inf and the result carries that, as it always has
+    res = integrate(lambda t: 1e308 + 0.0 * t, 0.0, 1.0)
+    assert res == QuadResult(math.inf, math.inf, 0)
+
+
 @pytest.mark.parametrize("p_lo,p_hi,expect", [
     (-0.5, 0.0, 2.0),                 # int_0^1 t^(-1/2)
     (0.5, 0.0, 2.0 / 3.0),            # int_0^1 t^(1/2)
