@@ -128,11 +128,11 @@ def corpus() -> tuple:
     """
     cubic = FnTriple(f=lambda x: x ** 3 / 6.0,
                      df=lambda x: x ** 2 / 2.0,
-                     ddf=lambda x: np.asarray(x, dtype=float) + 0.0,
+                     ddf=lambda x: x + 0.0,
                      name="cubic/6")
     quart = FnTriple(f=lambda x: x ** 4 / 12.0,
                      df=lambda x: x ** 3 / 3.0,
-                     ddf=lambda x: np.asarray(x, dtype=float) ** 2,
+                     ddf=lambda x: x * x,
                      name="quart/12")
     expf = FnTriple(f=np.exp, df=np.exp, ddf=np.exp, name="exp")
     return (

@@ -693,6 +693,27 @@ _COROLLARIES = {
 }
 
 
+def corollary_unmet(cid: str, p: Params) -> str | None:
+    """The first specialization of corollary cid that p misses, or None.
+
+    The specializations are the midpoint x, a pinned lambda or kappa and
+    the q regime; corollary_check raises DomainError with this message.
+    """
+    spec = _COROLLARIES[cid]
+    tol = 1e-12
+    if spec.x_mid and abs(p.x - 0.5 * (p.a + p.mb)) > tol * max(1.0, abs(p.mb)):
+        return "%s requires x = (a + m b)/2" % cid
+    if spec.lam_req is not None and abs(p.lam - spec.lam_req) > tol:
+        return "%s requires lambda = %g" % (cid, spec.lam_req)
+    if spec.kappa_req is not None and abs(p.kappa - spec.kappa_req) > tol:
+        return "%s requires kappa = %g" % (cid, spec.kappa_req)
+    if spec.q_req == "one" and p.q != 1.0:
+        return "%s requires q = 1" % cid
+    if spec.q_req == "gt1" and not p.q > 1.0:
+        return "%s requires q > 1" % cid
+    return None
+
+
 def corollary_check(cid: str, p: Params, fn: FnTriple,
                     check_admission: bool = True,
                     memo: dict | None = None) -> CorollaryReport:
@@ -708,17 +729,9 @@ def corollary_check(cid: str, p: Params, fn: FnTriple,
     if spec is None:
         raise DomainError("unknown corollary id %r; valid ids: %s"
                           % (cid, ", ".join(COROLLARY_IDS)))
-    tol = 1e-12
-    if spec.x_mid and abs(p.x - 0.5 * (p.a + p.mb)) > tol * max(1.0, abs(p.mb)):
-        raise DomainError("%s requires x = (a + m b)/2" % cid)
-    if spec.lam_req is not None and abs(p.lam - spec.lam_req) > tol:
-        raise DomainError("%s requires lambda = %g" % (cid, spec.lam_req))
-    if spec.kappa_req is not None and abs(p.kappa - spec.kappa_req) > tol:
-        raise DomainError("%s requires kappa = %g" % (cid, spec.kappa_req))
-    if spec.q_req == "one" and p.q != 1.0:
-        raise DomainError("%s requires q = 1" % cid)
-    if spec.q_req == "gt1" and not p.q > 1.0:
-        raise DomainError("%s requires q > 1" % cid)
+    unmet = corollary_unmet(cid, p)
+    if unmet is not None:
+        raise DomainError(unmet)
 
     if spec.family == "pm":
         base = bound_thm211(p, fn, check_admission=check_admission,

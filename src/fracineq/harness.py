@@ -26,7 +26,8 @@ from typing import NamedTuple
 from . import bounds
 from .amconvex import corpus, corpus_by_name
 from .errors import AdmissionError, ConvergenceError, DomainError, EvaluationError
-from .identity import Params, memoized, point_key, residual
+from .identity import (Params, fill_kernel_halves, memoized, point_key,
+                       residual)
 from .quad import Tolerance, integrate
 
 CSV_COLUMNS = ("check", "fn", "a", "b", "m", "x", "lambda", "kappa",
@@ -161,6 +162,18 @@ class _Failed(NamedTuple):
     error: Exception
 
 
+def _identity_pairs(points, by_name, fn_names):
+    """The (Params, fn) pair of each valid grid point and named function."""
+    pairs = []
+    for pt in points:
+        try:
+            prm = Params(*pt)
+        except DomainError:
+            continue
+        pairs.extend((prm, by_name[name].fn) for name in fn_names)
+    return pairs
+
+
 def _identity_rows(pt, fn, memo):
     prm = Params(*pt)
     chk = memoized(memo, ("identity",) + point_key(prm, fn),
@@ -176,6 +189,8 @@ def _corollary_rows(pt, fn, memo):
     prm = Params(*pt)
     rows = []
     for cid in bounds.COROLLARY_IDS:
+        if bounds.corollary_unmet(cid, prm) is not None:
+            continue
         try:
             rep = bounds.corollary_check(cid, prm, fn, memo=memo)
         except (DomainError, AdmissionError):
@@ -238,7 +253,10 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
     every alpha and q that reads it: each one-sided RL integral and each
     kernel half, the direct and kernel sides and residual of each
     identity point (fn, a, b, m, x, lambda, kappa), each thm211/thm22
-    report, and the Simpson blend lhs per (fn, a, b, lambda).
+    report, and the Simpson blend lhs per (fn, a, b, lambda).  With the
+    identity check, the kernel halves of each (a, b, m, x) block are
+    integrated in one lockstep batch before the block's rows; that
+    changes no bit of any row.
     """
     by_name = corpus_by_name()
     memo: dict = {}
@@ -250,8 +268,16 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
     max_resid = 0.0
     phi_seen = set()
 
+    tails = list(itertools.product(cfg.lam, cfg.kappa, cfg.alpha, cfg.q))
+    block = None
     for pt in itertools.product(cfg.a, cfg.b, cfg.m, cfg.x, cfg.lam,
                                 cfg.kappa, cfg.alpha, cfg.q):
+        if "identity" in cfg.checks and pt[:4] != block:
+            # the kernel integrals of each (a, b, m, x) block advance
+            # together in one batch, before the block's rows
+            block = pt[:4]
+            fill_kernel_halves(_identity_pairs(
+                [block + tail for tail in tails], by_name, cfg.fns), memo)
         for check in cfg.checks:
             if check == "phi-oracle":
                 if pt[4:] in phi_seen:

@@ -33,7 +33,7 @@ import numpy as np
 from .amconvex import FnTriple
 from .errors import DomainError
 from .fracint import rl_left_result, rl_right_result
-from .quad import Tolerance, integrate
+from .quad import Tolerance, integrate_batch
 from .specfun import gamma
 
 # slack on top of the propagated quadrature budget in the residual test
@@ -162,44 +162,95 @@ def direct_side(p: Params, fn: FnTriple) -> float:
     return _direct_with_budget(p, fn)[0]
 
 
-def _kernel_half(fn: FnTriple, anchor: float, x: float, lam: float,
-                 k: float) -> tuple[float, float]:
-    """int_0^1 t ((k+1)lam - t^k) f''(anchor + t (x - anchor)) dt, budget."""
+def _kernel_pieces(fn: FnTriple, anchor: float, x: float, lam: float,
+                   k: float) -> list:
+    """The (integrand, lo, hi) jobs of one kernel half.
+
+    The half is int_0^1 t ((k+1)lam - t^k) f''(anchor + t (x - anchor)) dt,
+    split at t* = ((k+1)lam)^(1/k) when that point is interior.
+    """
     c = (k + 1.0) * lam
     tstar = c ** (1.0 / k) if 0.0 < c < 1.0 else None
     cuts = [0.0, 1.0] if tstar is None else [0.0, tstar, 1.0]
     ddf, span = fn.ddf, x - anchor
 
     # one call per GK pass: scalar C arithmetic keeps every bit of the
-    # per-node loop, without a failed vector probe on each integrate call.
+    # per-node loop, without a failed vector probe on each integral.
     # ravel lets the evaluator's scalar retry re-raise an error from ddf.
     def g(ts):
         return [t * (c - t ** k) * float(ddf(anchor + t * span))
                 for t in np.ravel(ts).tolist()]
 
-    total, budget = 0.0, 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        res = integrate(g, lo, hi, _KERNEL_TOL)
-        total += res.value
-        budget += res.abs_error_estimate
-    return total, budget
+    return [(g, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def _kernel_halves(halves: list) -> list:
+    """(total, budget) of each (fn, anchor, x, lam, kappa) kernel half.
+
+    Every piece of every half is integrated in one batch; a half whose
+    piece fails holds that piece's error (the first, in cut order)
+    instead, exactly the error it raises alone.
+    """
+    pieces = [_kernel_pieces(*half) for half in halves]
+    results = iter(integrate_batch([job for jobs in pieces for job in jobs],
+                                   _KERNEL_TOL))
+    out = []
+    for jobs in pieces:
+        got = [next(results) for _ in jobs]
+        failed = [res for res in got if isinstance(res, Exception)]
+        if failed:
+            out.append(failed[0])
+            continue
+        total, budget = 0.0, 0.0
+        for res in got:
+            total += res.value
+            budget += res.abs_error_estimate
+        out.append((total, budget))
+    return out
+
+
+def _kernel_half(fn: FnTriple, anchor: float, x: float, lam: float,
+                 k: float) -> tuple[float, float]:
+    """One kernel half's (total, budget); raises the error of a failing piece."""
+    got, = _kernel_halves([(fn, anchor, x, lam, k)])
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
+def _half_keys(p: Params, fn: FnTriple) -> list:
+    """(gap, memo key) of each kernel half at p with a nonzero gap to x.
+
+    Each half reads only its own anchor: a, or m b.
+    """
+    return [(gap, ("kernel-half", fn, anchor, p.x, p.lam, p.kappa))
+            for gap, anchor in ((p.x - p.a, p.a), (p.mb - p.x, p.mb))
+            if gap > 0.0]
+
+
+def fill_kernel_halves(pairs, memo: dict) -> None:
+    """Batch-compute the kernel halves of these (Params, fn) pairs not in memo.
+
+    Only the halves that succeed are stored, so a failing half is
+    recomputed alone when the identity reads it, and raises there exactly
+    as it would without this call.
+    """
+    todo = {key: key[1:] for p, fn in pairs for _, key in _half_keys(p, fn)
+            if key not in memo}
+    for key, got in zip(todo, _kernel_halves(list(todo.values()))):
+        if not isinstance(got, Exception):
+            memo[key] = got
 
 
 def _kernel_with_budget(p: Params, fn: FnTriple,
                         memo: dict | None = None) -> tuple[float, float]:
-    k, lam = p.kappa, p.lam
-    mb, w = p.mb, p.width
-    xa = p.x - p.a
-    bx = mb - p.x
+    k, w = p.kappa, p.width
     value, budget = 0.0, 0.0
-    # each half reads only its own anchor: a, or m b
-    for gap, anchor in ((xa, p.a), (bx, mb)):
-        if gap > 0.0:
-            coef = gap ** (k + 2.0) / ((k + 1.0) * w)
-            tot, bud = memoized(memo, ("kernel-half", fn, anchor, p.x, lam, k),
-                                lambda: _kernel_half(fn, anchor, p.x, lam, k))
-            value += coef * tot
-            budget += coef * bud
+    for gap, key in _half_keys(p, fn):
+        coef = gap ** (k + 2.0) / ((k + 1.0) * w)
+        tot, bud = memoized(memo, key, lambda: _kernel_half(*key[1:]))
+        value += coef * tot
+        budget += coef * bud
     return value, budget
 
 

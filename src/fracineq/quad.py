@@ -4,6 +4,12 @@ Core rule is the 15-point Kronrod extension of 7-point Gauss.  Intervals
 are bisected worst-error-first until the summed error estimate meets
 max(abs_tol, rel_tol * |value|) or the subdivision budget runs out.
 
+integrate_batch runs that loop for many integrals in lockstep: each
+round, every unfinished integral bisects its own worst interval, and the
+rule sums of all new intervals are taken in one (rows, 15) numpy block.
+Each integral keeps its own worst-first order, so batching changes no
+bit of any result; integrate is a batch of one.
+
 integrate_singular handles integrands with an explicit endpoint weight
 (t - lo)^p_lo (hi - t)^p_hi, p > -1, by the power substitution
 t = lo + v^k: with k chosen so that k (p+1) - 1 >= 3 the transformed
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, EvaluationError
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 # Kronrod-15 abscissae (positive half) and weights, Gauss-7 weights.
 # The embedded Gauss nodes are every second Kronrod node.
@@ -57,6 +63,7 @@ _NODES = np.concatenate([-_XGK[:7], [0.0], _XGK[6::-1]])
 _WK15 = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
 _WG15 = np.zeros(15)
 _WG15[1:14:2] = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
+_WKG15 = np.stack([_WK15, _WG15])
 
 
 @dataclass(frozen=True)
@@ -101,26 +108,92 @@ class _Evaluator:
                         ).reshape(xs.shape)
 
 
-def _gk15(ev: _Evaluator, lo: float, hi: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7/15 pass over [lo, hi]: (value, error estimate)."""
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    xs = center + half * _NODES
-    ys = ev(xs)
-    # every Kronrod weight is positive, so any non-finite sample makes
-    # resabs non-finite; only then are the samples checked for one
-    resabs = float(_WK15 @ np.abs(ys))
-    if not math.isfinite(resabs):
-        bad = xs[~np.isfinite(ys)]
-        if bad.size:
-            raise EvaluationError(
-                "integrand returned a non-finite value at t=%.17g" % bad[0],
-                abscissa=float(bad[0]),
+def _check_interval(lo: float, hi: float) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("integration interval must be finite")
+    if hi < lo:
+        raise DomainError("integration interval is reversed: lo=%g hi=%g" % (lo, hi))
+
+
+class _Job:
+    """One integral's worst-first bisection state inside integrate_batch."""
+
+    __slots__ = ("slot", "ev", "todo", "split", "heap", "value", "err", "nsub")
+
+    def __init__(self, slot: int, f: Callable[[float], float], lo: float,
+                 hi: float):
+        self.slot = slot
+        self.ev = _Evaluator(f)
+        self.todo = ((lo, hi),)     # intervals to sample this round
+        self.split = None           # (value, error) of the interval bisected
+        self.heap = []
+        self.nsub = 0
+
+    def advance(self, rules: list, tol: Tolerance) -> QuadResult | None:
+        """Take the (value, error) of each todo interval; pick the next split.
+
+        Returns the result once tolerance (or the round-off floor) is met,
+        None when todo holds the two halves of the next bisection.
+        """
+        if self.split is None:
+            ((lo, hi),), ((v, e),) = self.todo, rules
+            self.value, self.err = v, e
+            heapq.heappush(self.heap, (-e, 0, lo, hi, v, e))
+        else:
+            ((a, mid), (_, b)), ((v1, e1), (v2, e2)) = self.todo, rules
+            v, e = self.split
+            self.value += (v1 + v2) - v
+            self.err += (e1 + e2) - e
+            self.nsub += 1
+            # tie-break counter: 1, 2, ... in push order, unique per heap
+            heapq.heappush(self.heap, (-e1, 2 * self.nsub - 1, a, mid, v1, e1))
+            heapq.heappush(self.heap, (-e2, 2 * self.nsub, mid, b, v2, e2))
+        if not math.isfinite(self.value + self.err):
+            self._check_rules(rules)
+
+        if not self.err > max(tol.abs_tol, tol.rel_tol * abs(self.value)):
+            return self._best()
+        if self.nsub >= tol.max_subdiv:
+            raise ConvergenceError(
+                "no convergence after %d subdivisions "
+                "(value=%.17g, error=%.3g)" % (self.nsub, self.value, self.err),
+                estimate=self._best(),
             )
-    resk = float(_WK15 @ ys)
-    resg = float(_WG15 @ ys)
-    mean = 0.5 * resk
-    resasc = float(_WK15 @ np.abs(ys - mean))
+        _, _, a, b, v, e = heapq.heappop(self.heap)
+        if e <= 0.1 * _EPS * abs(self.value):
+            # worst interval is already at round-off level; cannot improve
+            return self._best()
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            raise ConvergenceError(
+                "interval [%.17g, %.17g] cannot be split further" % (a, b),
+                estimate=self._best(),
+            )
+        self.split = (v, e)
+        self.todo = ((a, mid), (mid, b))
+        return None
+
+    def _check_rules(self, rules: list) -> None:
+        """Raise ConvergenceError for the first non-finite rule of todo.
+
+        No sample was non-finite (that is an EvaluationError), so its
+        weighted sums overflowed.  Any non-finite rule makes a total
+        non-finite, so only then is this called.
+        """
+        for (a, b), (v, e) in zip(self.todo, rules):
+            if not (math.isfinite(v) and math.isfinite(e)):
+                raise ConvergenceError(
+                    "rule sum over [%.17g, %.17g] is not finite although "
+                    "every sample is (value=%.17g, error=%.3g)" % (a, b, v, e),
+                    estimate=self._best())
+
+    def _best(self) -> QuadResult:
+        return QuadResult(self.value, self.err, self.nsub)
+
+
+def _rule(resabs: float, resk: float, resg: float, resasc: float,
+          half: float) -> tuple[float, float]:
+    """(value, error) of one GK 7/15 pass, from its weighted sample sums."""
     err = abs((resk - resg) * half)
     resasc *= abs(half)
     if resasc != 0.0 and err != 0.0:
@@ -130,61 +203,118 @@ def _gk15(ev: _Evaluator, lo: float, hi: float) -> tuple[float, float]:
     return resk * half, err
 
 
+def _join(arrays: list) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _gk15_round(live: list) -> list:
+    """One Gauss-Kronrod 7/15 pass over every todo interval of every job.
+
+    Each job's intervals are sampled in one integrand call; the rule sums
+    of all rows are then taken together over the (rows, 15) block with
+    vecdot, which reduces each row exactly as a 1-D dot product does (a
+    matrix-vector product does not).  Returns, per job, its (value,
+    error) pairs or the exception that stopped it.
+    """
+    half, xs, ys, out = [], [], [], []
+    for job in live:
+        nodes = []
+        for lo, hi in job.todo:
+            half.append(0.5 * (hi - lo))
+            nodes.append(0.5 * (lo + hi) + half[-1] * _NODES)
+        xs.append(_join(nodes))
+        try:
+            ys.append(job.ev(xs[-1]))
+            out.append(None)
+        except Exception as exc:    # the job's own failure, kept in its slot
+            ys.append(np.zeros_like(xs[-1]))
+            out.append(exc)
+    ys = _join(ys).reshape(-1, 15)
+    absy = np.abs(ys)
+    resabs = np.vecdot(absy, _WK15).tolist()
+    # every Kronrod weight is positive, so any non-finite sample makes
+    # resabs non-finite; only then are the samples looked at
+    if not math.isfinite(sum(resabs)):
+        ys = _flag_bad_samples(xs, ys, out)
+    sums = np.vecdot(ys[:, None, :], _WKG15)      # columns resk, resg
+    np.abs(ys - 0.5 * sums[:, :1], out=absy)
+    rules = list(map(_rule, resabs, *zip(*sums.tolist()),
+                     np.vecdot(absy, _WK15).tolist(), half))
+    r = 0
+    for j, x in enumerate(xs):
+        n = len(x) // 15
+        out[j] = out[j] or rules[r:r + n]
+        r += n
+    return out
+
+
+def _flag_bad_samples(xs: list, ys: np.ndarray, out: list) -> np.ndarray:
+    """Put an EvaluationError in out for each job with a non-finite sample.
+
+    The error names the job's first such sample in node order.  Returns
+    a copy of ys with those jobs' rows zeroed, which keeps the block's
+    remaining sums quiet (ys may be an integrand's own array).
+    """
+    ys = ys.copy()
+    r = 0
+    for j, x in enumerate(xs):
+        n = len(x) // 15
+        bad = x[~np.isfinite(ys[r:r + n].ravel())]
+        if out[j] is None and bad.size:
+            out[j] = EvaluationError(
+                "integrand returned a non-finite value at t=%.17g" % bad[0],
+                abscissa=float(bad[0]),
+            )
+            ys[r:r + n] = 0.0
+        r += n
+    return ys
+
+
+def integrate_batch(jobs: list, tol: Tolerance | None = None) -> list:
+    """Integrate each (f, lo, hi) of jobs; one QuadResult or error per job.
+
+    The integrals advance in lockstep: each round, every unfinished job
+    bisects its own worst interval, exactly as it would alone, so each
+    result is bit for bit the one a batch of one gives.  A job whose
+    integrand yields a non-finite sample holds an EvaluationError, one
+    that misses tolerance holds a ConvergenceError carrying its best
+    estimate, one whose integrand raises holds that exception; the other
+    jobs go on.  A malformed interval raises DomainError before any work.
+    """
+    tol = tol if tol is not None else Tolerance()
+    for _, lo, hi in jobs:
+        _check_interval(lo, hi)
+    out = [QuadResult(0.0, 0.0, 0)] * len(jobs)
+    live = [_Job(i, f, lo, hi) for i, (f, lo, hi) in enumerate(jobs) if hi > lo]
+    while live:
+        still = []
+        for job, got in zip(live, _gk15_round(live)):
+            if not isinstance(got, Exception):
+                try:
+                    got = job.advance(got, tol)
+                except ConvergenceError as exc:
+                    got = exc
+            if got is None:
+                still.append(job)
+            else:
+                out[job.slot] = got
+        live = still
+    return out
+
+
 def integrate(f: Callable[[float], float], lo: float, hi: float,
               tol: Tolerance | None = None) -> QuadResult:
     """Integrate f over the finite interval [lo, hi].
 
     Raises DomainError for a malformed interval, EvaluationError if f
     produces a non-finite sample, ConvergenceError (carrying the best
-    estimate) if max_subdiv bisections do not reach tolerance.
+    estimate) if max_subdiv bisections do not reach tolerance or a rule
+    sum overflows although every sample is finite.
     """
-    tol = tol if tol is not None else Tolerance()
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError("integration interval must be finite")
-    if hi < lo:
-        raise DomainError("integration interval is reversed: lo=%g hi=%g" % (lo, hi))
-    if hi == lo:
-        return QuadResult(0.0, 0.0, 0)
-
-    ev = _Evaluator(f)
-    value, err = _gk15(ev, lo, hi)
-    total_value, total_err = value, err
-    nsub = 0
-    heap = []
-    counter = 0
-    heapq.heappush(heap, (-err, counter, lo, hi, value, err))
-
-    while total_err > max(tol.abs_tol, tol.rel_tol * abs(total_value)):
-        if nsub >= tol.max_subdiv:
-            best = QuadResult(total_value, total_err, nsub)
-            raise ConvergenceError(
-                "no convergence after %d subdivisions "
-                "(value=%.17g, error=%.3g)" % (nsub, total_value, total_err),
-                estimate=best,
-            )
-        _, _, a, b, v, e = heapq.heappop(heap)
-        if e <= 0.1 * _EPS * abs(total_value):
-            # worst interval is already at round-off level; cannot improve
-            heapq.heappush(heap, (-e, counter + 1, a, b, v, e))
-            break
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            best = QuadResult(total_value, total_err, nsub)
-            raise ConvergenceError(
-                "interval [%.17g, %.17g] cannot be split further" % (a, b),
-                estimate=best,
-            )
-        v1, e1 = _gk15(ev, a, mid)
-        v2, e2 = _gk15(ev, mid, b)
-        total_value += (v1 + v2) - v
-        total_err += (e1 + e2) - e
-        nsub += 1
-        counter += 1
-        heapq.heappush(heap, (-e1, counter, a, mid, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, b, v2, e2))
-
-    return QuadResult(total_value, total_err, nsub)
+    got = integrate_batch([(f, lo, hi)], tol)[0]
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 def _is_nonneg_integer(p: float) -> bool:
@@ -232,10 +362,7 @@ def integrate_singular(f: Callable[[float], float], lo: float, hi: float,
         raise DomainError(
             "weight exponent <= -1 is non-integrable: p_lo=%g p_hi=%g"
             % (p_lo, p_hi))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError("integration interval must be finite")
-    if hi < lo:
-        raise DomainError("integration interval is reversed: lo=%g hi=%g" % (lo, hi))
+    _check_interval(lo, hi)
     if hi == lo:
         return QuadResult(0.0, 0.0, 0)
 

@@ -12,7 +12,8 @@ import pytest
 
 from fracineq import (AdmissionError, DomainError, Params, beta, beta_inc,
                       corollary_check, corpus_by_name)
-from fracineq.bounds import COROLLARY_IDS, COROLLARY_MATCH_TOL
+from fracineq.bounds import (COROLLARY_IDS, COROLLARY_MATCH_TOL,
+                             corollary_unmet)
 
 FNS = {k: v.fn for k, v in corpus_by_name().items()}
 
@@ -157,6 +158,26 @@ def test_specialization_requirements_enforced():
         corollary_check("2b-a", mk(0.5, 1.0, 1.0), FNS["exp"])
     with pytest.raises(DomainError):   # 2b-d is the lambda = 0 statement
         corollary_check("2b-d", mk(0.5, 1.0, 2.0), FNS["exp"])
+
+
+@pytest.mark.parametrize("cid", COROLLARY_IDS)
+def test_unmet_specialization_is_what_corollary_check_raises(cid):
+    # the sweep filters ids with corollary_unmet before calling
+    # corollary_check, so the two must agree on every point
+    for x in (0.25, 0.5):
+        for lam in (0.0, 1.0 / 3.0, 0.5, 1.0):
+            for kappa in (0.5, 1.0):
+                for q in (1.0, 2.0):
+                    p = Params(a=0.0, b=1.0, m=1.0, x=x, lam=lam, kappa=kappa,
+                               alpha=1.0, q=q)
+                    unmet = corollary_unmet(cid, p)
+                    if unmet is None:
+                        assert corollary_check(cid, p, FNS["exp"]).which \
+                            == "corollary:" + cid
+                    else:
+                        with pytest.raises(DomainError) as exc:
+                            corollary_check(cid, p, FNS["exp"])
+                        assert str(exc.value) == unmet
 
 
 def test_admission_still_gates_corollaries():

@@ -232,12 +232,33 @@ def _spy_args(monkeypatch, module, name):
     return calls
 
 
+def _spy_halves(monkeypatch):
+    """Count the kernel halves _kernel_halves computes, by their arguments.
+
+    A half that fails stores nothing in the memo, so it is not counted.
+    """
+    calls = collections.Counter()
+    original = fracineq.identity._kernel_halves
+
+    def spy(halves):
+        got = original(halves)
+        for half, res in zip(halves, got):
+            if not isinstance(res, Exception):
+                calls[half] += 1
+        return got
+
+    monkeypatch.setattr(fracineq.identity, "_kernel_halves", spy)
+    return calls
+
+
 def test_sweep_computes_each_one_sided_integral_once(tmp_path, monkeypatch):
     # neither RL integral reads lambda and each kernel half reads only its
     # own anchor, so the two lambdas and the shared x-stations of the small
-    # config repeat every one of them across identity points
+    # config repeat every one of them across identity points.  The halves
+    # are computed in batches, one per (a, b, m, x) block, or alone.
     spies = {name: _spy_args(monkeypatch, fracineq.identity, name)
-             for name in ("rl_left_result", "rl_right_result", "_kernel_half")}
+             for name in ("rl_left_result", "rl_right_result")}
+    spies["_kernel_halves"] = _spy_halves(monkeypatch)
     direct = _spy(monkeypatch, fracineq.identity, "_direct_with_budget")
     run_sweep(parse_sweep_config(SMALL_SWEEP_CFG), str(tmp_path / "r.csv"))
     for name, calls in spies.items():

@@ -10,10 +10,10 @@ import math
 
 import pytest
 
-from fracineq import DomainError, Params, corpus_by_name, direct_side, \
+from fracineq import DomainError, EvaluationError, Params, corpus_by_name, direct_side, \
     kernel_side, residual, rl_left, rl_right
 from fracineq.amconvex import FnTriple
-from fracineq.identity import standard_grid
+from fracineq.identity import fill_kernel_halves, standard_grid
 from fracineq.specfun import gamma
 
 FNS = {k: v.fn for k, v in corpus_by_name().items()}
@@ -140,6 +140,33 @@ def test_kernel_side_passes_on_the_error_of_a_raising_second_derivative():
     fn = FnTriple(f=math.exp, df=math.exp, ddf=ddf, name="raises")
     with pytest.raises(ValueError, match="no f''"):
         kernel_side(Params(a=0.0, b=1.0, m=1.0, x=0.5, lam=0.5, kappa=1.0), fn)
+
+
+def test_filled_halves_change_no_bit_and_a_failing_half_raises_alone():
+    # f'' is not finite past 0.7: at x = 0.5 the half anchored at m b = 1
+    # fails and the half anchored at a = 0 does not
+    def ddf(u):
+        return math.inf if u > 0.7 else math.exp(u)
+
+    bad = FnTriple(f=math.exp, df=math.exp, ddf=ddf, name="inf-past-0.7")
+    pairs = [(p, fn) for fn in (FNS["exp"], FNS["pow-2.5"], bad)
+             for p in standard_grid(0.0, 1.0) if p.x == 0.5]
+    memo = {}
+    fill_kernel_halves(pairs, memo)
+    assert all(k[0] == "kernel-half" for k in memo)
+    stored = {(k[1], k[2]) for k in memo}
+    assert (bad, 0.0) in stored and (bad, 1.0) not in stored
+    for p, fn in pairs:
+        if fn is bad and p.x < p.mb:
+            with pytest.raises(EvaluationError) as filled:
+                residual(p, fn, memo)
+            with pytest.raises(EvaluationError) as alone:
+                residual(p, fn)
+            assert str(filled.value) == str(alone.value)
+        else:
+            assert residual(p, fn, memo) == residual(p, fn), (fn.name, p)
+    # the identity read only halves that were already filled or failed
+    assert {(k[1], k[2]) for k in memo if k[0] == "kernel-half"} == stored
 
 
 def test_params_validation():

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from fracineq import DomainError, EvaluationError, ConvergenceError
-from fracineq.quad import QuadResult, Tolerance, integrate, integrate_singular
+from fracineq.quad import (QuadResult, Tolerance, integrate, integrate_batch,
+                           integrate_singular)
 
 
 @pytest.mark.parametrize("f,lo,hi,expect", [
@@ -86,12 +87,151 @@ def test_infinite_sample_reports_its_abscissa():
     assert "t=%.17g" % first_bad in str(exc.value)
 
 
+def test_a_non_finite_sample_leaves_the_integrand_output_alone():
+    import numpy as np
+
+    returned = []
+
+    def f(t):
+        returned.append(np.where(t > 0.9, np.nan, t))
+        return returned[-1]
+
+    with pytest.raises(EvaluationError):
+        integrate(f, 0.0, 1.0)
+    assert np.isnan(returned[0]).sum() == 3 and returned[0][0] > 0.0
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_huge_finite_samples_are_not_an_evaluation_error():
     # every sample is finite, so no EvaluationError; the weighted sums
-    # overflow to inf and the result carries that, as it always has
-    res = integrate(lambda t: 1e308 + 0.0 * t, 0.0, 1.0)
-    assert res == QuadResult(math.inf, math.inf, 0)
+    # overflow, and an overflowed sum is no result: it is a ConvergenceError
+    # that names the interval and carries the overflowed estimate
+    with pytest.raises(ConvergenceError, match=r"over \[0, 1\] is not finite") \
+            as exc:
+        integrate(lambda t: 1e308 + 0.0 * t, 0.0, 1.0)
+    assert exc.value.estimate == QuadResult(math.inf, math.inf, 0)
+
+
+def _nan_in_middle(t):
+    return math.nan if 0.4 < t < 0.6 else t
+
+
+def _raises(t):
+    raise ValueError("no value at %r" % t)
+
+
+def _kernel_like(ts):
+    # the shape of the identity's kernel integrals: a t^kappa kink at 0
+    return [t * (0.45 - t ** 0.5) * math.exp(0.3 + 0.7 * t) for t in ts.tolist()]
+
+
+def _solo(f, lo, hi, tol):
+    try:
+        return integrate(f, lo, hi, tol)
+    except Exception as exc:
+        return exc
+
+
+def test_batch_equals_each_job_alone():
+    tol = Tolerance(max_subdiv=60)
+    jobs = [
+        (math.exp, 0.0, 1.0),                        # smooth, one pass
+        (lambda t: abs(t - 0.3), 0.0, 1.0),          # kinked
+        (_kernel_like, 0.0, 1.0),                    # kernel-like
+        (_nan_in_middle, 0.0, 1.0),                  # EvaluationError
+        (lambda t: math.sin(1.0 / t), 0.0, 1.0),     # hits max_subdiv
+        (math.exp, 0.7, 0.7),                        # hi == lo
+        (_raises, 0.0, 1.0),                         # integrand raises
+        (lambda t: math.sin(50.0 * t), 0.0, 1.0),    # many bisections
+    ]
+    got = integrate_batch(jobs, tol)
+    assert len(got) == len(jobs)
+    kinds = []
+    for (f, lo, hi), res in zip(jobs, got):
+        alone = _solo(f, lo, hi, tol)
+        assert type(res) is type(alone)
+        kinds.append(type(res).__name__)
+        if isinstance(alone, QuadResult):
+            assert res == alone
+        else:
+            assert str(res) == str(alone)
+            assert getattr(res, "estimate", None) == getattr(alone, "estimate",
+                                                             None)
+            assert getattr(res, "abscissa", None) == getattr(alone, "abscissa",
+                                                             None)
+    assert kinds == ["QuadResult", "QuadResult", "QuadResult",
+                     "EvaluationError", "ConvergenceError", "QuadResult",
+                     "ValueError", "QuadResult"]
+    assert got[2].subdivisions > 5 and got[4].estimate.subdivisions == 60
+    assert got[5] == QuadResult(0.0, 0.0, 0)
+
+
+def _serial_reference(f, lo, hi, tol):
+    """The one-integral loop integrate_batch replaced: one 15-node integrand
+    call and four 1-D dot products per GK pass, each child in turn."""
+    import heapq
+
+    import numpy as np
+
+    from fracineq.quad import _EPS, _NODES, _WG15, _WK15, _Evaluator
+
+    ev = _Evaluator(f)
+
+    def gk15(a, b):
+        center, half = 0.5 * (a + b), 0.5 * (b - a)
+        ys = ev(center + half * _NODES)
+        resabs = float(_WK15 @ np.abs(ys))
+        resk, resg = float(_WK15 @ ys), float(_WG15 @ ys)
+        resasc = float(_WK15 @ np.abs(ys - 0.5 * resk)) * abs(half)
+        err = abs((resk - resg) * half)
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        return resk * half, max(err, 50.0 * _EPS * resabs * abs(half))
+
+    value, err = gk15(lo, hi)
+    heap, counter, nsub = [(-err, 0, lo, hi, value, err)], 0, 0
+    while err > max(tol.abs_tol, tol.rel_tol * abs(value)):
+        assert nsub < tol.max_subdiv
+        _, _, a, b, v, e = heapq.heappop(heap)
+        if e <= 0.1 * _EPS * abs(value):
+            break
+        mid = 0.5 * (a + b)
+        (v1, e1), (v2, e2) = gk15(a, mid), gk15(mid, b)
+        value += (v1 + v2) - v
+        err += (e1 + e2) - e
+        nsub += 1
+        heapq.heappush(heap, (-e1, counter + 1, a, mid, v1, e1))
+        heapq.heappush(heap, (-e2, counter + 2, mid, b, v2, e2))
+        counter += 2
+    return QuadResult(value, err, nsub)
+
+
+def test_batch_matches_the_serial_loop_bit_for_bit():
+    import numpy as np
+
+    from fracineq import Params, corpus_by_name
+    from fracineq.identity import _KERNEL_TOL, _kernel_pieces
+
+    jobs = [(np.exp, 0.0, 1.0), (lambda t: np.sin(30.0 * t), 0.0, 2.0),
+            (lambda t: abs(t - 0.3), 0.0, 1.0),
+            (lambda t: np.sqrt(t) * np.cos(t), 0.0, 1.5)]
+    for entry in corpus_by_name().values():
+        for lam, kappa in ((0.0, 0.5), (1.0 / 3.0, 0.5), (0.5, 2.0)):
+            p = Params(a=0.0, b=1.0, m=1.0, x=0.3, lam=lam, kappa=kappa)
+            for anchor in (p.a, p.mb):
+                jobs += _kernel_pieces(entry.fn, anchor, p.x, lam, kappa)
+    got = integrate_batch(jobs, _KERNEL_TOL)
+    for (f, lo, hi), res in zip(jobs, got):
+        assert res == _serial_reference(f, lo, hi, _KERNEL_TOL)
+    assert sum(r.subdivisions for r in got) > 5 * len(jobs)
+
+
+def test_batch_rejects_a_malformed_interval_before_any_work():
+    calls = []
+    with pytest.raises(DomainError):
+        integrate_batch([(lambda t: calls.append(t) or t, 0.0, 1.0),
+                         (math.exp, 1.0, 0.0)])
+    assert not calls
 
 
 @pytest.mark.parametrize("p_lo,p_hi,expect", [
