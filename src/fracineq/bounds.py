@@ -36,7 +36,7 @@ import numpy as np
 from .amconvex import FnTriple, is_admitted
 from .errors import AdmissionError, DomainError
 from .identity import Params, direct_with_budget, memoized
-from .quad import Tolerance, integrate
+from .quad import Tolerance, integrate, integrate_groups
 from .specfun import beta, beta_inc, hyp2f1
 
 HOLDS_SLACK = 1e-9
@@ -200,10 +200,7 @@ def _check_which(which: int, alpha: float | None, p: float | None) -> None:
         raise DomainError("phi4 needs p")
 
 
-def phi(which: int, kappa: float, lam: float, *,
-        alpha: float | None = None, p: float | None = None) -> float:
-    """Closed form of phi<which>; arguments as for phi_oracle."""
-    _check_which(which, alpha, p)
+def _closed_form(which, kappa, lam, alpha, p):
     if which == 1:
         return phi1(kappa, lam)
     if which == 2:
@@ -213,14 +210,30 @@ def phi(which: int, kappa: float, lam: float, *,
     return phi4(kappa, lam, p)
 
 
-def phi_oracle(which: int, kappa: float, lam: float, *,
-               alpha: float | None = None, p: float | None = None,
-               tol: Tolerance | None = None) -> float:
-    """Evaluate the defining integral of phi<which> by quadrature.
+def _moment_key(which: int, kappa: float, lam: float, alpha, p) -> tuple:
+    # phi1 reads neither alpha nor p, phi2/phi3 alpha, phi4 p
+    return (which, kappa, lam,
+            alpha if which in (2, 3) else p if which == 4 else None)
+
+
+def phi(which: int, kappa: float, lam: float, *,
+        alpha: float | None = None, p: float | None = None,
+        memo: dict | None = None) -> float:
+    """Closed form of phi<which>; arguments as for phi_oracle.
+
+    With a memo each moment is computed once per sweep; phi1..phi4
+    themselves cache nothing.
+    """
+    _check_which(which, alpha, p)
+    return memoized(memo, ("phi",) + _moment_key(which, kappa, lam, alpha, p),
+                    lambda: _closed_form(which, kappa, lam, alpha, p))
+
+
+def _oracle_jobs(which, kappa, lam, alpha, p) -> list:
+    """phi_oracle's argument checks, then its (integrand, lo, hi) jobs.
 
     Splits at the kink t*; within each segment the kernel sign is fixed,
-    so no abs() enters the integrand.  Completely independent of the
-    closed forms and of the beta/2F1 machinery.
+    so no abs() enters the integrand.
     """
     _check_kl(kappa, lam)
     _check_which(which, alpha, p)
@@ -228,7 +241,6 @@ def phi_oracle(which: int, kappa: float, lam: float, *,
         _check_alpha(alpha)
     if which == 4:
         _check_p(p)
-    tol = tol if tol is not None else _ORACLE_TOL
 
     c = (kappa + 1.0) * lam
     if c <= 0.0:
@@ -249,10 +261,56 @@ def phi_oracle(which: int, kappa: float, lam: float, *,
             return t * (1.0 - t ** alpha) * kern
         return t ** p * kern ** p
 
+    return [(lambda t, sign=sign: integrand(t, sign), lo, hi)
+            for lo, hi, sign in segments]
+
+
+def _oracle_total(results: list) -> float:
     total = 0.0
-    for lo, hi, sign in segments:
-        total += integrate(lambda t: integrand(t, sign), lo, hi, tol).value
+    for res in results:
+        total += res.value
     return total
+
+
+def phi_oracle(which: int, kappa: float, lam: float, *,
+               alpha: float | None = None, p: float | None = None,
+               tol: Tolerance | None = None,
+               memo: dict | None = None) -> float:
+    """Evaluate the defining integral of phi<which> by quadrature.
+
+    Integrates each segment between the kink t* and the ends in turn and
+    sums them in order.  Completely independent of the closed forms and
+    of the beta/2F1 machinery.  With a memo the value is computed once
+    per sweep (fill_phi_oracles computes many in one batch).
+    """
+    jobs = _oracle_jobs(which, kappa, lam, alpha, p)
+    tol = tol if tol is not None else _ORACLE_TOL
+    return memoized(
+        memo, ("phi-oracle", tol) + _moment_key(which, kappa, lam, alpha, p),
+        lambda: _oracle_total([integrate(*job, tol) for job in jobs]))
+
+
+def fill_phi_oracles(specs, memo: dict) -> None:
+    """Batch-compute phi_oracle of each (which, kappa, lam, alpha, p) of
+    specs not in memo, at the default tolerance, in one integrate_batch.
+
+    Only the values that succeed are stored; phi_oracle recomputes any
+    other alone, and raises there exactly as it would without this call.
+    """
+    todo = {}
+    for which, kappa, lam, alpha, p in specs:
+        key = ("phi-oracle", _ORACLE_TOL) + _moment_key(which, kappa, lam,
+                                                        alpha, p)
+        if key in memo or key in todo:
+            continue
+        try:
+            todo[key] = _oracle_jobs(which, kappa, lam, alpha, p)
+        except DomainError:
+            continue
+    for key, got in zip(todo, integrate_groups(list(todo.values()),
+                                               _ORACLE_TOL)):
+        if not isinstance(got, Exception):
+            memo[key] = _oracle_total(got)
 
 
 # --- reports ---------------------------------------------------------------
@@ -314,6 +372,13 @@ def _holder_inner(p: Params, fn: FnTriple) -> tuple[float, float]:
     return ia ** (1.0 / q), ib ** (1.0 / q)
 
 
+def _power_mean_moments(p: Params, memo: dict | None) -> tuple:
+    """phi1, phi2 and phi3 at p, each once per sweep with a memo."""
+    return (phi(1, p.kappa, p.lam, memo=memo),
+            phi(2, p.kappa, p.lam, alpha=p.alpha, memo=memo),
+            phi(3, p.kappa, p.lam, alpha=p.alpha, memo=memo))
+
+
 def _theorem_lhs(p: Params, fn: FnTriple, check_admission: bool,
                  memo: dict | None) -> float:
     # admission first, so an unadmitted function never costs an integral
@@ -335,9 +400,7 @@ def bound_thm211(p: Params, fn: FnTriple, check_admission: bool = True,
 
 def _thm211(p, fn, check_admission, memo):
     lhs = _theorem_lhs(p, fn, check_admission, memo)
-    f1 = phi1(p.kappa, p.lam)
-    f2 = phi2(p.kappa, p.lam, p.alpha)
-    f3 = phi3(p.kappa, p.lam, p.alpha)
+    f1, f2, f3 = _power_mean_moments(p, memo)
     d2x, d2a, d2b = _second_derivs(p, fn)
     q = p.q
     inner_a = d2x ** q * f2 + p.m * d2a ** q * f3
@@ -364,7 +427,7 @@ def _thm22(p, fn, check_admission, memo):
         raise DomainError("the Hoelder route needs q > 1, got q=%r" % (p.q,))
     lhs = _theorem_lhs(p, fn, check_admission, memo)
     pp = p.q / (p.q - 1.0)
-    f4 = phi4(p.kappa, p.lam, pp)
+    f4 = phi(4, p.kappa, p.lam, p=pp, memo=memo)
     ga, gb = _holder_inner(p, fn)
     c1, c2 = _coefs(p)
     rhs = f4 ** (1.0 / pp) * (c1 * ga + c2 * gb)
@@ -389,7 +452,9 @@ def _simpson_blend_lhs(fn: FnTriple, a: float, b: float, lam: float,
                        memo: dict | None = None) -> float:
     def compute():
         mid = 0.5 * (a + b)
-        avg = integrate(fn.f, a, b, _LHS_TOL).value / (b - a)
+        # the average reads no lambda: one integral per (fn, a, b)
+        avg = memoized(memo, ("simpson-avg", fn, a, b),
+                       lambda: integrate(fn.f, a, b, _LHS_TOL).value) / (b - a)
         return abs((1.0 - lam) * float(fn.f(mid))
                    + lam * 0.5 * (float(fn.f(a)) + float(fn.f(b))) - avg)
     return memoized(memo, ("simpson", fn, a, b, lam), compute)
@@ -499,21 +564,24 @@ class CorollaryReport:
     note: str
 
 
-def _printed_2a_a(p: Params, fn: FnTriple) -> float:
+def _beta_inc(memo: dict | None, a: float, x: float, y: float) -> float:
+    """beta_inc(a, x, y), once per sweep when a memo is given."""
+    return memoized(memo, ("beta_inc", a, x, y), lambda: beta_inc(a, x, y))
+
+
+def _printed_2a_a(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, k = p.width, p.kappa
-    f2 = phi2(k, p.lam, p.alpha)
-    f3 = phi3(k, p.lam, p.alpha)
+    f2 = phi(2, k, p.lam, alpha=p.alpha, memo=memo)
+    f3 = phi(3, k, p.lam, alpha=p.alpha, memo=memo)
     d2x, d2a, d2b = _second_derivs(p, fn)
     return (p.x - p.a) ** (k + 1.0) / w * (d2x * f2 + p.m * d2a * f3) \
         + (p.mb - p.x) ** (k + 1.0) / w * (d2x * f2 + p.m * d2b * f3)
 
 
-def _printed_midpoint_pm(p: Params, fn: FnTriple) -> float:
+def _printed_midpoint_pm(p: Params, fn: FnTriple, memo: dict | None) -> float:
     # the symbol-referencing midpoint form shared by several corollaries
     w, k, q = p.width, p.kappa, p.q
-    f1 = phi1(k, p.lam)
-    f2 = phi2(k, p.lam, p.alpha)
-    f3 = phi3(k, p.lam, p.alpha)
+    f1, f2, f3 = _power_mean_moments(p, memo)
     d2x, d2a, d2b = _second_derivs(p, fn)
     pref = w ** 2 / (8.0 * (k + 1.0)) * (f1 ** (1.0 - 1.0 / q) if q > 1.0 else 1.0)
     ia = d2x ** q * f2 + p.m * d2a ** q * f3
@@ -521,7 +589,7 @@ def _printed_midpoint_pm(p: Params, fn: FnTriple) -> float:
     return pref * (ia ** (1.0 / q) + ib ** (1.0 / q))
 
 
-def _printed_2a_d(p: Params, fn: FnTriple) -> float:
+def _printed_2a_d(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, q, al = p.width, p.q, p.alpha
     den = 3.0 ** (al + 3.0) * (al + 2.0) * (al + 3.0)
     f2p = (2.0 ** (al + 4.0) - 2.0 * 3.0 ** (al + 2.0)
@@ -536,7 +604,7 @@ def _printed_2a_d(p: Params, fn: FnTriple) -> float:
         * (ia ** (1.0 / q) + ib ** (1.0 / q))
 
 
-def _printed_2a_e(p: Params, fn: FnTriple) -> float:
+def _printed_2a_e(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, k, q, al = p.width, p.kappa, p.q, p.alpha
     d2x, d2a, d2b = _second_derivs(p, fn)
     ia = d2x ** q + k * p.m * d2a ** q / (k + 2.0)
@@ -546,7 +614,7 @@ def _printed_2a_e(p: Params, fn: FnTriple) -> float:
         * (ia ** (1.0 / q) + ib ** (1.0 / q))
 
 
-def _printed_2a_f(p: Params, fn: FnTriple) -> float:
+def _printed_2a_f(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, q, al = p.width, p.q, p.alpha
     d2x, d2a, d2b = _second_derivs(p, fn)
     ia = 3.0 * d2x ** q + p.m * d2a ** q
@@ -555,7 +623,7 @@ def _printed_2a_f(p: Params, fn: FnTriple) -> float:
         * (ia ** (1.0 / q) + ib ** (1.0 / q))
 
 
-def _printed_2a_g(p: Params, fn: FnTriple) -> float:
+def _printed_2a_g(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, k, q, al = p.width, p.kappa, p.q, p.alpha
     d2x, d2a, d2b = _second_derivs(p, fn)
     f2 = k * (k + al + 3.0) / ((al + 2.0) * (k + al + 2.0))
@@ -568,7 +636,7 @@ def _printed_2a_g(p: Params, fn: FnTriple) -> float:
         * (ia ** (1.0 / q) + ib ** (1.0 / q))
 
 
-def _printed_2a_h(p: Params, fn: FnTriple) -> float:
+def _printed_2a_h(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, q, al = p.width, p.q, p.alpha
     d2x, d2a, d2b = _second_derivs(p, fn)
     f2 = (al + 4.0) / ((al + 2.0) * (al + 3.0))
@@ -579,14 +647,15 @@ def _printed_2a_h(p: Params, fn: FnTriple) -> float:
     return w ** 2 / 16.0 * pref * (ia ** (1.0 / q) + ib ** (1.0 / q))
 
 
-def _printed_2b_a(p: Params, fn: FnTriple) -> float:
+def _printed_2b_a(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, k = p.width, p.kappa
     pp = p.q / (p.q - 1.0)
     ga, gb = _holder_inner(p, fn)
-    return phi4(k, p.lam, pp) ** (1.0 / pp) * w ** 2 / (8.0 * (k + 1.0)) * (ga + gb)
+    f4 = phi(4, k, p.lam, p=pp, memo=memo)
+    return f4 ** (1.0 / pp) * w ** 2 / (8.0 * (k + 1.0)) * (ga + gb)
 
 
-def _printed_2b_c(p: Params, fn: FnTriple) -> float:
+def _printed_2b_c(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w = p.width
     pp = p.q / (p.q - 1.0)
     # as circulated: no 1/(p+1) on the 2F1 term
@@ -596,7 +665,7 @@ def _printed_2b_c(p: Params, fn: FnTriple) -> float:
     return w ** 2 / 16.0 * f4p ** (1.0 / pp) * (ga + gb)
 
 
-def _printed_2b_d(p: Params, fn: FnTriple) -> float:
+def _printed_2b_d(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, k = p.width, p.kappa
     pp = p.q / (p.q - 1.0)
     f4p = 1.0 / (pp * (k + 1.0) + 1.0)
@@ -604,21 +673,21 @@ def _printed_2b_d(p: Params, fn: FnTriple) -> float:
     return w ** 2 / 16.0 * f4p ** (1.0 / pp) * (ga + gb)
 
 
-def _printed_2b_e(p: Params, fn: FnTriple) -> float:
+def _printed_2b_e(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, k = p.width, p.kappa
     pp = p.q / (p.q - 1.0)
     f4p = (1.0 + k) ** ((pp * (k + 1.0) + 1.0) / k) / k \
-        * beta_inc(1.0 / (1.0 + k), (1.0 + pp) / k, 1.0 + pp)
+        * _beta_inc(memo, 1.0 / (1.0 + k), (1.0 + pp) / k, 1.0 + pp)
     ga, gb = _holder_inner(p, fn)
     return w ** 2 / 16.0 * f4p ** (1.0 / pp) * (ga + gb)
 
 
-def _printed_2b_g(p: Params, fn: FnTriple) -> float:
+def _printed_2b_g(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w = p.width
     pp = p.q / (p.q - 1.0)
     ga, gb = _holder_inner(p, fn)
-    return w ** 2 / 4.0 * (2.0 * beta_inc(0.5, 1.0 + pp, 1.0 + pp)) ** (1.0 / pp) \
-        * (ga + gb)
+    inc = _beta_inc(memo, 0.5, 1.0 + pp, 1.0 + pp)
+    return w ** 2 / 4.0 * (2.0 * inc) ** (1.0 / pp) * (ga + gb)
 
 
 @dataclass(frozen=True)
@@ -741,7 +810,7 @@ def corollary_check(cid: str, p: Params, fn: FnTriple,
     scale = 1.0 if cid == "2a-a" else (2.0 / p.width) ** (p.kappa - 1.0)
     lhs = scale * base.lhs
     general_rhs = scale * base.rhs
-    printed_rhs = float(spec.printed(p, fn))
+    printed_rhs = float(spec.printed(p, fn, memo))
     discrepancy = abs(printed_rhs - general_rhs)
     matches = discrepancy <= COROLLARY_MATCH_TOL
     return CorollaryReport(

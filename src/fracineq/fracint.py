@@ -14,7 +14,7 @@ import math
 from typing import Callable
 
 from .errors import DomainError
-from .quad import QuadResult, Tolerance, integrate_singular
+from .quad import QuadResult, Tolerance, integrate_singular, singular_jobs
 from .specfun import gamma
 
 
@@ -23,30 +23,61 @@ def _check_order(kappa: float) -> None:
         raise DomainError("fractional order must satisfy kappa >= 0, got %r" % (kappa,))
 
 
-def rl_left_result(f: Callable[[float], float], a: float, kappa: float,
-                   x: float, tol: Tolerance | None = None) -> QuadResult:
-    """Left-sided integral anchored at a, evaluated at x > a."""
+def _setup(left: bool, anchor: float, kappa: float, x: float) -> tuple:
+    """integrate_singular's (lo, hi, p_lo, p_hi) for J^kappa at x, and
+    the scale 1/Gamma(kappa)."""
+    if left:
+        if not x > anchor:
+            raise DomainError("rl_left requires x > a, got a=%r x=%r"
+                              % (anchor, x))
+        weight = (anchor, x, 0.0, kappa - 1.0)
+    else:
+        if not x < anchor:
+            raise DomainError("rl_right requires x < b, got b=%r x=%r"
+                              % (anchor, x))
+        weight = (x, anchor, kappa - 1.0, 0.0)
+    return weight, 1.0 / gamma(kappa)
+
+
+def rl_scaled(g: float, res: QuadResult) -> QuadResult:
+    """The weighted integral res times the scale g = 1/Gamma(kappa)."""
+    return QuadResult(g * res.value, g * res.abs_error_estimate, res.subdivisions)
+
+
+def _rl_result(left, f, anchor, kappa, x, tol):
     _check_order(kappa)
     if kappa == 0.0:
         return QuadResult(float(f(x)), 0.0, 0)
-    if not x > a:
-        raise DomainError("rl_left requires x > a, got a=%r x=%r" % (a, x))
-    g = 1.0 / gamma(kappa)
-    res = integrate_singular(f, a, x, 0.0, kappa - 1.0, tol)
-    return QuadResult(g * res.value, g * res.abs_error_estimate, res.subdivisions)
+    weight, g = _setup(left, anchor, kappa, x)
+    return rl_scaled(g, integrate_singular(f, *weight, tol))
+
+
+def rl_job(f: Callable[[float], float], anchor: float, kappa: float,
+           x: float, left: bool) -> tuple:
+    """(job, g): the one (h, lo, hi) quadrature job of rl_left_result(f,
+    anchor, kappa, x) (left) or rl_right_result, and its scale, kappa > 0.
+
+    rl_scaled(g, the job's result) is that integral bit for bit, at the
+    same tolerance.  Raises what rl_*_result raises before integrating.
+    """
+    _check_order(kappa)
+    if kappa == 0.0:
+        raise DomainError("J^0 f = f needs no quadrature")
+    weight, g = _setup(left, anchor, kappa, x)
+    job, = singular_jobs(f, *weight)
+    return job, g
+
+
+def rl_left_result(f: Callable[[float], float], a: float, kappa: float,
+                   x: float, tol: Tolerance | None = None) -> QuadResult:
+    """Left-sided integral anchored at a, evaluated at x > a."""
+    return _rl_result(True, f, a, kappa, x, tol)
 
 
 def rl_right_result(f: Callable[[float], float], b: float, kappa: float,
                     x: float, tol: Tolerance | None = None) -> QuadResult:
     """Right-sided integral anchored at b, evaluated at x < b."""
-    _check_order(kappa)
-    if kappa == 0.0:
-        return QuadResult(float(f(x)), 0.0, 0)
-    if not x < b:
-        raise DomainError("rl_right requires x < b, got b=%r x=%r" % (b, x))
-    g = 1.0 / gamma(kappa)
-    res = integrate_singular(f, x, b, kappa - 1.0, 0.0, tol)
-    return QuadResult(g * res.value, g * res.abs_error_estimate, res.subdivisions)
+    return _rl_result(False, f, b, kappa, x, tol)
 
 
 def rl_left(f: Callable[[float], float], a: float, kappa: float, x: float,

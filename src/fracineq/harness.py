@@ -26,8 +26,8 @@ from typing import NamedTuple
 from . import bounds
 from .amconvex import corpus, corpus_by_name
 from .errors import AdmissionError, ConvergenceError, DomainError, EvaluationError
-from .identity import (Params, fill_kernel_halves, memoized, point_key,
-                       residual)
+from .identity import (Params, fill_kernel_halves, fill_rl_integrals, memoized,
+                       point_key, residual)
 from .quad import Tolerance, integrate
 
 CSV_COLUMNS = ("check", "fn", "a", "b", "m", "x", "lambda", "kappa",
@@ -145,12 +145,13 @@ def _write_csv(path: str, columns: tuple, rows: list) -> None:
 
 
 # --- the sweep's checks ------------------------------------------------------
-# Each producer maps (grid point, FnTriple, memo) to a list of
-# (which, lhs, rhs, holds, tightness, residual) rows.  Raising DomainError
-# or AdmissionError, or returning no rows, counts the pair as skipped.
-# Raising a numerical error counts the pair as failed; a producer that
-# emits several rows puts a _Failed in place of each row whose numerics
-# failed, so the rows that computed fine are kept.
+# Each producer maps (grid point, its Params or None, FnTriple, memo) to a
+# list of (which, lhs, rhs, holds, tightness, residual) rows.  Raising
+# DomainError or AdmissionError, or returning no rows, counts the pair as
+# skipped; so does a point without valid Params, for the checks that read
+# them.  Raising a numerical error counts the pair as failed; a producer
+# that emits several rows puts a _Failed in place of each row whose
+# numerics failed, so the rows that computed fine are kept.
 # Producers look bounds.* and residual up when called, never at import,
 # so code that swaps those module attributes sees every call.
 
@@ -162,20 +163,22 @@ class _Failed(NamedTuple):
     error: Exception
 
 
-def _identity_pairs(points, by_name, fn_names):
-    """The (Params, fn) pair of each valid grid point and named function."""
-    pairs = []
-    for pt in points:
-        try:
-            prm = Params(*pt)
-        except DomainError:
-            continue
-        pairs.extend((prm, by_name[name].fn) for name in fn_names)
-    return pairs
+def _grid_params(pt):
+    """The Params of a grid point, or None when the point is invalid."""
+    try:
+        return Params(*pt)
+    except DomainError:
+        return None
 
 
-def _identity_rows(pt, fn, memo):
-    prm = Params(*pt)
+def _on_params(produce):
+    """A producer of rows from (Params, fn, memo); invalid points skip."""
+    def rows(pt, prm, fn, memo):
+        return [] if prm is None else produce(prm, fn, memo)
+    return rows
+
+
+def _identity_rows(prm, fn, memo):
     chk = memoized(memo, ("identity",) + point_key(prm, fn),
                    lambda: residual(prm, fn, memo))
     return [("identity", chk.lhs, chk.rhs, chk.ok, 0.0, chk.residual)]
@@ -185,12 +188,13 @@ def _bound_rows(rep):
     return [(rep.which, rep.lhs, rep.rhs, rep.holds, rep.tightness, 0.0)]
 
 
-def _corollary_rows(pt, fn, memo):
-    prm = Params(*pt)
+def _corollary_rows(prm, fn, memo):
+    # which ids apply reads only the Params, not the function
+    ids = memoized(memo, ("corollary-ids", prm),
+                   lambda: [cid for cid in bounds.COROLLARY_IDS
+                            if bounds.corollary_unmet(cid, prm) is None])
     rows = []
-    for cid in bounds.COROLLARY_IDS:
-        if bounds.corollary_unmet(cid, prm) is not None:
-            continue
+    for cid in ids:
         try:
             rep = bounds.corollary_check(cid, prm, fn, memo=memo)
         except (DomainError, AdmissionError):
@@ -203,15 +207,23 @@ def _corollary_rows(pt, fn, memo):
     return rows
 
 
-def _phi_rows(pt, _fn, _memo):
-    """Closed form (lhs) vs oracle (rhs) of each moment defined at pt."""
-    lam, kappa, alpha, q = pt[4:]
+def _phi_specs(tail):
+    """(which, kappa, lambda, alpha, p) of each moment defined at a
+    (lambda, kappa, alpha, q) tail; phi4 needs q > 1."""
+    lam, kappa, alpha, q = tail
     p = q / (q - 1.0) if q > 1.0 else None
+    return [(n, kappa, lam, alpha, p)
+            for n in ((1, 2, 3) if p is None else (1, 2, 3, 4))]
+
+
+def _phi_rows(pt, _prm, _fn, memo):
+    """Closed form (lhs) vs oracle (rhs) of each moment defined at pt."""
     rows = []
-    for n in (1, 2, 3) if p is None else (1, 2, 3, 4):
+    for n, kappa, lam, alpha, p in _phi_specs(pt[4:]):
         try:
-            closed = bounds.phi(n, kappa, lam, alpha=alpha, p=p)
-            oracle = bounds.phi_oracle(n, kappa, lam, alpha=alpha, p=p)
+            closed = bounds.phi(n, kappa, lam, alpha=alpha, p=p, memo=memo)
+            oracle = bounds.phi_oracle(n, kappa, lam, alpha=alpha, p=p,
+                                       memo=memo)
         except _NUMERICAL_ERRORS as exc:
             rows.append(_Failed("phi%d" % n, exc))
             continue
@@ -222,18 +234,41 @@ def _phi_rows(pt, _fn, _memo):
 
 
 _CHECKS = {
-    "identity": _identity_rows,
-    "thm211": lambda pt, fn, memo: _bound_rows(
-        bounds.bound_thm211(Params(*pt), fn, memo=memo)),
-    "thm22": lambda pt, fn, memo: _bound_rows(
-        bounds.bound_thm22(Params(*pt), fn, memo=memo)),
-    "sarikaya": lambda pt, fn, memo: _bound_rows(
+    "identity": _on_params(_identity_rows),
+    "thm211": _on_params(lambda prm, fn, memo: _bound_rows(
+        bounds.bound_thm211(prm, fn, memo=memo))),
+    "thm22": _on_params(lambda prm, fn, memo: _bound_rows(
+        bounds.bound_thm22(prm, fn, memo=memo))),
+    "sarikaya": lambda pt, _prm, fn, memo: _bound_rows(
         bounds.bound_sarikaya(fn, pt[0], pt[1], pt[4], pt[7], memo=memo)),
-    "remark": lambda pt, fn, memo: _bound_rows(
+    "remark": lambda pt, _prm, fn, memo: _bound_rows(
         bounds.remark_bound(fn, pt[0], pt[1], pt[4], pt[7], memo=memo)),
-    "corollaries": _corollary_rows,
+    "corollaries": _on_params(_corollary_rows),
 }
 _SWEEP_CHECKS = tuple(_CHECKS) + ("phi-oracle",)
+
+
+def _grid(cfg: SweepConfig, by_name, memo: dict):
+    """Each grid point, in grid order, with its Params or None if invalid.
+
+    Integrals the rows will read are filled into memo ahead of them, each
+    kind in lockstep batches of its own: the oracle integrals of every
+    phi moment before the first point, and with the identity check the
+    one-sided integrals, then the kernel halves, of each (a, b, m, x)
+    block before its points.
+    """
+    tails = list(itertools.product(cfg.lam, cfg.kappa, cfg.alpha, cfg.q))
+    if "phi-oracle" in cfg.checks:
+        bounds.fill_phi_oracles(
+            [spec for tail in tails for spec in _phi_specs(tail)], memo)
+    for block in itertools.product(cfg.a, cfg.b, cfg.m, cfg.x):
+        points = [(block + tail, _grid_params(block + tail)) for tail in tails]
+        if "identity" in cfg.checks:
+            pairs = [(prm, by_name[name].fn) for _, prm in points
+                     if prm is not None for name in cfg.fns]
+            fill_rl_integrals(pairs, memo)
+            fill_kernel_halves(pairs, memo)
+        yield from points
 
 
 def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
@@ -250,13 +285,13 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
     pair.
 
     Each value is computed once per call and shared by every check and
-    every alpha and q that reads it: each one-sided RL integral and each
-    kernel half, the direct and kernel sides and residual of each
-    identity point (fn, a, b, m, x, lambda, kappa), each thm211/thm22
-    report, and the Simpson blend lhs per (fn, a, b, lambda).  With the
-    identity check, the kernel halves of each (a, b, m, x) block are
-    integrated in one lockstep batch before the block's rows; that
-    changes no bit of any row.
+    every alpha and q that reads it: each grid point's Params, each
+    one-sided RL integral and each kernel half, the direct and kernel
+    sides and residual of each identity point (fn, a, b, m, x, lambda,
+    kappa), each thm211/thm22 report, each phi moment and its oracle,
+    the ids of the corollaries that apply at each Params, and the Simpson
+    average per (fn, a, b).  Most integrals run in lockstep batches (see
+    _grid); none of this changes a bit of any row.
     """
     by_name = corpus_by_name()
     memo: dict = {}
@@ -268,16 +303,7 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
     max_resid = 0.0
     phi_seen = set()
 
-    tails = list(itertools.product(cfg.lam, cfg.kappa, cfg.alpha, cfg.q))
-    block = None
-    for pt in itertools.product(cfg.a, cfg.b, cfg.m, cfg.x, cfg.lam,
-                                cfg.kappa, cfg.alpha, cfg.q):
-        if "identity" in cfg.checks and pt[:4] != block:
-            # the kernel integrals of each (a, b, m, x) block advance
-            # together in one batch, before the block's rows
-            block = pt[:4]
-            fill_kernel_halves(_identity_pairs(
-                [block + tail for tail in tails], by_name, cfg.fns), memo)
+    for pt, prm in _grid(cfg, by_name, memo):
         for check in cfg.checks:
             if check == "phi-oracle":
                 if pt[4:] in phi_seen:
@@ -289,7 +315,7 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
                            for name in cfg.fns]
             for fn_name, fn, produce in batches:
                 try:
-                    out = produce(pt, fn, memo)
+                    out = produce(pt, prm, fn, memo)
                 except (DomainError, AdmissionError):
                     out = []
                 except _NUMERICAL_ERRORS as exc:

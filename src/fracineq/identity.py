@@ -32,8 +32,8 @@ import numpy as np
 
 from .amconvex import FnTriple
 from .errors import DomainError
-from .fracint import rl_left_result, rl_right_result
-from .quad import Tolerance, integrate_batch
+from .fracint import rl_job, rl_left_result, rl_right_result, rl_scaled
+from .quad import Tolerance, integrate_batch, integrate_groups
 from .specfun import gamma
 
 # slack on top of the propagated quadrature budget in the residual test
@@ -128,6 +128,22 @@ def point_key(p: Params, fn: FnTriple) -> tuple:
     return (fn, p.a, p.b, p.m, p.x, p.lam, p.kappa)
 
 
+def _rl_specs(p: Params, fn: FnTriple) -> list:
+    """(memo key, left, anchor, x) of each one-sided integral at p with a
+    nonzero gap: rl_left_result if left else rl_right_result, of fn.f.
+
+    Neither reads lambda, and each reads only its own end: J^k[x-] f(a)
+    is the right-sided integral anchored at x, evaluated at a, and
+    J^k[x+] f(mb) the left-sided one anchored at x, evaluated at m b.
+    """
+    specs = []
+    if p.x - p.a > 0.0:
+        specs.append((("rl-right", fn, p.a, p.x, p.kappa), False, p.x, p.a))
+    if p.mb - p.x > 0.0:
+        specs.append((("rl-left", fn, p.x, p.mb, p.kappa), True, p.x, p.mb))
+    return specs
+
+
 def _direct_with_budget(p: Params, fn: FnTriple,
                         memo: dict | None = None) -> tuple[float, float]:
     mb, w, k = p.mb, p.width, p.kappa
@@ -140,21 +156,37 @@ def _direct_with_budget(p: Params, fn: FnTriple,
     gk1 = gamma(k + 1.0)
     frac = 0.0
     budget = 0.0
-    # neither integral reads lambda, and each reads only its own end
-    if xa > 0.0:
-        res = memoized(memo, ("rl-right", fn, p.a, p.x, k),
-                       lambda: rl_right_result(fn.f, b=p.x, kappa=k, x=p.a,
-                                               tol=_KERNEL_TOL))
-        frac += res.value
-        budget += res.abs_error_estimate
-    if bx > 0.0:
-        res = memoized(memo, ("rl-left", fn, p.x, mb, k),
-                       lambda: rl_left_result(fn.f, a=p.x, kappa=k, x=mb,
-                                              tol=_KERNEL_TOL))
+    for key, left, anchor, at in _rl_specs(p, fn):
+        rl = rl_left_result if left else rl_right_result
+        res = memoized(memo, key,
+                       lambda: rl(fn.f, anchor, k, at, _KERNEL_TOL))
         frac += res.value
         budget += res.abs_error_estimate
     value -= gk1 / w * frac
     return value, gk1 / w * budget
+
+
+def fill_rl_integrals(pairs, memo: dict) -> None:
+    """Batch-compute the one-sided integrals of these (Params, fn) pairs
+    not in memo, in one integrate_batch of their own.
+
+    Only the integrals that succeed are stored, so a failing one is
+    recomputed alone when the direct side reads it, and raises there
+    exactly as it would without this call.
+    """
+    todo = {key: (fn.f, anchor, p.kappa, at, left)
+            for p, fn in pairs for key, left, anchor, at in _rl_specs(p, fn)
+            if key not in memo}
+    ready = []
+    for key, spec in todo.items():
+        try:
+            ready.append((key,) + rl_job(*spec))
+        except OverflowError:
+            continue    # Gamma(kappa) overflows: the row raises it alone
+    got = integrate_batch([job for _, job, _ in ready], _KERNEL_TOL)
+    for (key, _, g), res in zip(ready, got):
+        if not isinstance(res, Exception):
+            memo[key] = rl_scaled(g, res)
 
 
 def direct_side(p: Params, fn: FnTriple) -> float:
@@ -191,21 +223,16 @@ def _kernel_halves(halves: list) -> list:
     piece fails holds that piece's error (the first, in cut order)
     instead, exactly the error it raises alone.
     """
-    pieces = [_kernel_pieces(*half) for half in halves]
-    results = iter(integrate_batch([job for jobs in pieces for job in jobs],
-                                   _KERNEL_TOL))
     out = []
-    for jobs in pieces:
-        got = [next(results) for _ in jobs]
-        failed = [res for res in got if isinstance(res, Exception)]
-        if failed:
-            out.append(failed[0])
-            continue
-        total, budget = 0.0, 0.0
-        for res in got:
-            total += res.value
-            budget += res.abs_error_estimate
-        out.append((total, budget))
+    for got in integrate_groups([_kernel_pieces(*half) for half in halves],
+                                _KERNEL_TOL):
+        if not isinstance(got, Exception):
+            total, budget = 0.0, 0.0
+            for res in got:
+                total += res.value
+                budget += res.abs_error_estimate
+            got = (total, budget)
+        out.append(got)
     return out
 
 

@@ -13,8 +13,10 @@ bit of any result; integrate is a batch of one.
 integrate_singular handles integrands with an explicit endpoint weight
 (t - lo)^p_lo (hi - t)^p_hi, p > -1, by the power substitution
 t = lo + v^k: with k chosen so that k (p+1) - 1 >= 3 the transformed
-integrand is smooth enough for the plain rule.  Interior kinks are the
-caller's problem; callers are expected to split at known kink locations.
+integrand is smooth enough for the plain rule.  singular_jobs builds
+those substituted jobs without running them, so callers can put them in
+a batch.  Interior kinks are the caller's problem; callers are expected
+to split at known kink locations.
 """
 
 from __future__ import annotations
@@ -302,6 +304,22 @@ def integrate_batch(jobs: list, tol: Tolerance | None = None) -> list:
     return out
 
 
+def integrate_groups(groups: list, tol: Tolerance | None = None) -> list:
+    """integrate_batch over the (f, lo, hi) jobs of every group together.
+
+    Returns, per group, the list of its jobs' results or, if one fails,
+    the first error in job order: the one its jobs raise run one by one.
+    """
+    results = iter(integrate_batch([job for jobs in groups for job in jobs],
+                                   tol))
+    out = []
+    for jobs in groups:
+        got = [next(results) for _ in jobs]
+        failed = [res for res in got if isinstance(res, Exception)]
+        out.append(failed[0] if failed else got)
+    return out
+
+
 def integrate(f: Callable[[float], float], lo: float, hi: float,
               tol: Tolerance | None = None) -> QuadResult:
     """Integrate f over the finite interval [lo, hi].
@@ -326,16 +344,15 @@ def _substitution_order(p: float) -> int:
     return max(2, math.ceil(4.0 / (p + 1.0)))
 
 
-def _one_sided(g, A: float, B: float, p: float, at_lower: bool,
-               tol: Tolerance) -> QuadResult:
-    """Integrate g(t) * |t - endpoint|^p with the weight anchored at A or B."""
+def _one_sided(g, A: float, B: float, p: float, at_lower: bool) -> tuple:
+    """The (h, lo, hi) job of g(t) * |t - endpoint|^p, weight anchored at A or B."""
     if _is_nonneg_integer(p):
         n = int(round(p))
         if at_lower:
             w = lambda t: g(t) * (t - A) ** n
         else:
             w = lambda t: g(t) * (B - t) ** n
-        return integrate(w, A, B, tol)
+        return w, A, B
     k = _substitution_order(p)
     vmax = (B - A) ** (1.0 / k)
     expo = k * (p + 1.0) - 1.0
@@ -343,7 +360,48 @@ def _one_sided(g, A: float, B: float, p: float, at_lower: bool,
         h = lambda v: k * v ** expo * g(A + v ** k)
     else:
         h = lambda v: k * v ** expo * g(B - v ** k)
-    return integrate(h, 0.0, vmax, tol)
+    return h, 0.0, vmax
+
+
+def singular_jobs(f: Callable[[float], float], lo: float, hi: float,
+                  p_lo: float, p_hi: float) -> list:
+    """The (h, lo, hi) jobs of integrate_singular, after its argument checks.
+
+    None when hi == lo; one, run at the caller's tolerance, when at most
+    one endpoint weight is singular; two, each at half the absolute
+    tolerance, when both are.  The sum of their results, in order, is
+    the weighted integral.
+    """
+    if not (math.isfinite(p_lo) and math.isfinite(p_hi)):
+        raise DomainError("weight exponents must be finite")
+    if p_lo <= -1.0 or p_hi <= -1.0:
+        raise DomainError(
+            "weight exponent <= -1 is non-integrable: p_lo=%g p_hi=%g"
+            % (p_lo, p_hi))
+    _check_interval(lo, hi)
+    if hi == lo:
+        return []
+
+    smooth_lo = _is_nonneg_integer(p_lo)
+    smooth_hi = _is_nonneg_integer(p_hi)
+    if smooth_lo and smooth_hi:
+        n_lo, n_hi = int(round(p_lo)), int(round(p_hi))
+        return [(lambda t: f(t) * (t - lo) ** n_lo * (hi - t) ** n_hi, lo, hi)]
+    if smooth_hi:
+        n_hi = int(round(p_hi))
+        g = (lambda t: f(t) * (hi - t) ** n_hi) if n_hi else f
+        return [_one_sided(g, lo, hi, p_lo, True)]
+    if smooth_lo:
+        n_lo = int(round(p_lo))
+        g = (lambda t: f(t) * (t - lo) ** n_lo) if n_lo else f
+        return [_one_sided(g, lo, hi, p_hi, False)]
+
+    # both endpoints singular: split in the middle, fold the far weight
+    mid = 0.5 * (lo + hi)
+    g_lo = lambda t: f(t) * (hi - t) ** p_hi
+    g_hi = lambda t: f(t) * (t - lo) ** p_lo
+    return [_one_sided(g_lo, lo, mid, p_lo, True),
+            _one_sided(g_hi, mid, hi, p_hi, False)]
 
 
 def integrate_singular(f: Callable[[float], float], lo: float, hi: float,
@@ -356,39 +414,11 @@ def integrate_singular(f: Callable[[float], float], lo: float, hi: float,
     else is a divergent weight and raises DomainError.
     """
     tol = tol if tol is not None else Tolerance()
-    if not (math.isfinite(p_lo) and math.isfinite(p_hi)):
-        raise DomainError("weight exponents must be finite")
-    if p_lo <= -1.0 or p_hi <= -1.0:
-        raise DomainError(
-            "weight exponent <= -1 is non-integrable: p_lo=%g p_hi=%g"
-            % (p_lo, p_hi))
-    _check_interval(lo, hi)
-    if hi == lo:
-        return QuadResult(0.0, 0.0, 0)
-
-    smooth_lo = _is_nonneg_integer(p_lo)
-    smooth_hi = _is_nonneg_integer(p_hi)
+    jobs = singular_jobs(f, lo, hi, p_lo, p_hi)
+    if len(jobs) < 2:
+        return integrate(*jobs[0], tol) if jobs else QuadResult(0.0, 0.0, 0)
     half_tol = Tolerance(tol.abs_tol * 0.5, tol.rel_tol, tol.max_subdiv)
-
-    if smooth_lo and smooth_hi:
-        n_lo, n_hi = int(round(p_lo)), int(round(p_hi))
-        w = lambda t: f(t) * (t - lo) ** n_lo * (hi - t) ** n_hi
-        return integrate(w, lo, hi, tol)
-    if smooth_hi:
-        n_hi = int(round(p_hi))
-        g = (lambda t: f(t) * (hi - t) ** n_hi) if n_hi else f
-        return _one_sided(g, lo, hi, p_lo, True, tol)
-    if smooth_lo:
-        n_lo = int(round(p_lo))
-        g = (lambda t: f(t) * (t - lo) ** n_lo) if n_lo else f
-        return _one_sided(g, lo, hi, p_hi, False, tol)
-
-    # both endpoints singular: split in the middle, fold the far weight
-    mid = 0.5 * (lo + hi)
-    g_lo = lambda t: f(t) * (hi - t) ** p_hi
-    g_hi = lambda t: f(t) * (t - lo) ** p_lo
-    r1 = _one_sided(g_lo, lo, mid, p_lo, True, half_tol)
-    r2 = _one_sided(g_hi, mid, hi, p_hi, False, half_tol)
+    r1, r2 = [integrate(*job, half_tol) for job in jobs]
     return QuadResult(r1.value + r2.value,
                       r1.abs_error_estimate + r2.abs_error_estimate,
                       r1.subdivisions + r2.subdivisions)

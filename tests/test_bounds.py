@@ -7,8 +7,10 @@ form (wrong constant-term numerator; missing 1/kappa on the mid-branch
 defect so neither can silently regress.
 """
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from fracineq import (AdmissionError, DomainError, Params, beta, beta_inc,
@@ -17,7 +19,9 @@ from fracineq import (AdmissionError, DomainError, Params, beta, beta_inc,
                       phi, phi3_literal, phi4, phi4_literal, phi_oracle,
                       remark_bound)
 from fracineq.amconvex import FnTriple
-from fracineq.bounds import remark_phi1, remark_phi2, remark_phi3
+from fracineq.bounds import (_ORACLE_TOL, fill_phi_oracles, remark_phi1,
+                             remark_phi2, remark_phi3)
+from fracineq.quad import integrate
 
 FNS = {k: v.fn for k, v in corpus_by_name().items()}
 
@@ -79,6 +83,54 @@ def test_phi4_literal_drops_the_kappa_scale():
     want = phi_oracle(4, k, lam, p=p)
     assert abs(got - want) > 0.2
     assert abs(phi4(k, lam, p) - want) <= 1e-12
+
+
+def _serial_oracle(which, kappa, lam, alpha=None, p=None):
+    """phi_oracle as it summed its segments before they became jobs: each
+    segment integrated in turn, its value added to a running total."""
+    c = (kappa + 1.0) * lam
+    if c <= 0.0:
+        segments = [(0.0, 1.0, -1.0)]
+    elif c >= 1.0:
+        segments = [(0.0, 1.0, 1.0)]
+    else:
+        tstar = c ** (1.0 / kappa)
+        segments = [(0.0, tstar, 1.0), (tstar, 1.0, -1.0)]
+
+    def integrand(t, sign):
+        kern = np.maximum(sign * (c - t ** kappa), 0.0)
+        if which == 1:
+            return t * kern
+        if which == 2:
+            return t ** (1.0 + alpha) * kern
+        if which == 3:
+            return t * (1.0 - t ** alpha) * kern
+        return t ** p * kern ** p
+
+    total = 0.0
+    for lo, hi, sign in segments:
+        total += integrate(lambda t: integrand(t, sign), lo, hi,
+                           _ORACLE_TOL).value
+    return total
+
+
+def test_oracle_jobs_equal_the_serial_segment_sum_bit_for_bit():
+    # the criterion-02 grid; phi_oracle alone and the sweep's one-batch
+    # fill must both give the serial sum of the old code, bit for bit
+    specs = []
+    for k, lam in itertools.product((0.25, 0.5, 1.0, 1.5, 2.0, 3.0),
+                                    [i * 0.05 for i in range(21)]):
+        specs.append((1, k, lam, None, None))
+        for al in (0.0, 0.25, 0.5, 0.75, 1.0):
+            specs += [(2, k, lam, al, None), (3, k, lam, al, None)]
+        specs += [(4, k, lam, None, p) for p in (1.5, 2.0, 4.0)]
+    memo = {}
+    fill_phi_oracles(specs, memo)
+    assert len(memo) == len(specs) == 1764
+    for which, k, lam, al, p in specs:
+        want = _serial_oracle(which, k, lam, al, p)
+        assert phi_oracle(which, k, lam, alpha=al, p=p) == want
+        assert phi_oracle(which, k, lam, alpha=al, p=p, memo=memo) == want
 
 
 @pytest.mark.parametrize("k", KAPPAS)

@@ -10,6 +10,7 @@ import pytest
 import fracineq.amconvex
 import fracineq.bounds
 import fracineq.identity
+import fracineq.quad
 from fracineq import (DomainError, FnTriple, Params, bound_sarikaya,
                       corpus_by_name, residual)
 from fracineq.harness import (CSV_COLUMNS, DEFAULT_CONFIG, SweepConfig, main,
@@ -159,6 +160,46 @@ def test_sweep_counts_a_numerical_failure_and_goes_on(tmp_path, capsys):
     assert "failed=1" in capsys.readouterr().out
 
 
+def test_sweep_counts_an_overflowing_gamma_per_row(tmp_path, capsys):
+    # Gamma(200) overflows: the one-sided integrals at kappa = 200 cannot
+    # be filled ahead of their rows, which then fail one by one as they
+    # would without the batch; the kappa = 1 rows are still written
+    cfg = write_cfg(tmp_path, "a=0\nb=1\nm=1\nx=0.5\nlambda=0.5\n"
+                              "kappa=200\nkappa=1\nalpha=1\nq=2\nfn=exp\n"
+                              "check=identity\ncheck=thm211\n")
+    out = str(tmp_path / "rows.csv")
+    summary = run_sweep(parse_sweep_config(cfg), out)
+    assert (summary.rows_total, summary.failed) == (2, 2)
+    with open(out, newline="") as fh:
+        assert {r["kappa"] for r in csv.DictReader(fh)} == {"1"}
+    err = capsys.readouterr().err
+    assert "identity failed" in err and "thm211 failed" in err
+
+
+def test_sweep_builds_params_once_per_point_and_skips_invalid_ones(
+        tmp_path, monkeypatch):
+    # x = 1.2 lies past m b = 1: its identity and thm211 pairs are skipped
+    # one by one, while sarikaya (which reads a, b, lambda and q) and the
+    # phi-oracle rows of its (lambda, kappa, alpha, q) are still written
+    built = []
+    post_init = Params.__post_init__
+    monkeypatch.setattr(Params, "__post_init__",
+                        lambda self: built.append(self.x) or post_init(self))
+    out = str(tmp_path / "rows.csv")
+    cfg = small_config(x=(1.2, 0.5), lam=(0.5,), fns=("exp", "cubic/6"),
+                       checks=("identity", "thm211", "sarikaya",
+                               "phi-oracle"))
+    summary = run_sweep(cfg, out)
+    assert sorted(built) == [0.5, 1.2]
+    assert (summary.rows_total, summary.skipped, summary.failed) == (12, 4, 0)
+    with open(out, newline="") as fh:
+        at_invalid = [(r["check"], r["fn"]) for r in csv.DictReader(fh)
+                      if r["x"] == "1.2"]
+    assert at_invalid == [("sarikaya", "exp"), ("sarikaya", "cubic/6"),
+                          ("phi1", "-"), ("phi2", "-"), ("phi3", "-"),
+                          ("phi4", "-")]
+
+
 def test_sweep_summary_worst_tightness(tmp_path):
     out = str(tmp_path / "rows.csv")
     summary = run_sweep(small_config(), out)
@@ -251,21 +292,46 @@ def _spy_halves(monkeypatch):
     return calls
 
 
+def _spy_rl(monkeypatch):
+    """Count the RL integrals the identity computes, alone or as batch jobs.
+
+    Keys are (f, anchor, kappa, x, left).  A job counts when it is built,
+    so this reads "computed once" only where no integral fails.
+    """
+    calls = collections.Counter()
+    for name, left in (("rl_left_result", True), ("rl_right_result", False)):
+        original = getattr(fracineq.identity, name)
+
+        def spy(f, anchor, kappa, x, tol=None, original=original, left=left):
+            value = original(f, anchor, kappa, x, tol)
+            calls[(f, anchor, kappa, x, left)] += 1
+            return value
+
+        monkeypatch.setattr(fracineq.identity, name, spy)
+    job = fracineq.identity.rl_job
+
+    def spy_job(*args):
+        calls[args] += 1
+        return job(*args)
+
+    monkeypatch.setattr(fracineq.identity, "rl_job", spy_job)
+    return calls
+
+
 def test_sweep_computes_each_one_sided_integral_once(tmp_path, monkeypatch):
     # neither RL integral reads lambda and each kernel half reads only its
     # own anchor, so the two lambdas and the shared x-stations of the small
-    # config repeat every one of them across identity points.  The halves
+    # config repeat every one of them across identity points.  Both kinds
     # are computed in batches, one per (a, b, m, x) block, or alone.
-    spies = {name: _spy_args(monkeypatch, fracineq.identity, name)
-             for name in ("rl_left_result", "rl_right_result")}
-    spies["_kernel_halves"] = _spy_halves(monkeypatch)
+    spies = {"rl": _spy_rl(monkeypatch),
+             "_kernel_halves": _spy_halves(monkeypatch)}
     direct = _spy(monkeypatch, fracineq.identity, "_direct_with_budget")
     run_sweep(parse_sweep_config(SMALL_SWEEP_CFG), str(tmp_path / "r.csv"))
     for name, calls in spies.items():
         assert calls and set(calls.values()) == {1}, name
     # fewer integrals than identity points is where the saving comes from
-    assert len(spies["rl_left_result"]) < len(direct)
-    assert len(spies["rl_right_result"]) < len(direct)
+    for left in (True, False):
+        assert 0 < sum(key[-1] is left for key in spies["rl"]) < len(direct)
 
 
 def test_sweep_computes_each_theorem_report_once(tmp_path, monkeypatch):
@@ -278,6 +344,27 @@ def test_sweep_computes_each_theorem_report_once(tmp_path, monkeypatch):
     assert summary.rows_total == 250
     for name, calls in bodies.items():
         assert calls and set(calls.values()) == {1}, name
+
+
+def test_sweep_asks_which_corollaries_apply_once_per_params(tmp_path,
+                                                           monkeypatch):
+    # the answer reads only the Params, so the two fns of the small config
+    # share it; corollary_check itself asks only about ids that apply, so
+    # every unmet answer comes from the sweep's own filter
+    unmet = collections.Counter()
+    corollary_unmet = fracineq.bounds.corollary_unmet
+
+    def spy(cid, p):
+        why = corollary_unmet(cid, p)
+        if why is not None:
+            unmet[(cid, p)] += 1
+        return why
+
+    monkeypatch.setattr(fracineq.bounds, "corollary_unmet", spy)
+    summary = run_sweep(parse_sweep_config(SMALL_SWEEP_CFG),
+                        str(tmp_path / "r.csv"))
+    assert summary.rows_total == 250
+    assert unmet and set(unmet.values()) == {1}
 
 
 def test_sweep_keeps_the_rows_that_computed_when_some_overflow(
@@ -300,8 +387,9 @@ def test_sweep_keeps_the_rows_that_computed_when_some_overflow(
         assert "sweep: %s failed for fn " % which in err
 
 
-def test_sweep_integrates_simpson_lhs_once_per_fn_interval_lambda(
+def test_sweep_integrates_simpson_average_once_per_fn_interval(
         tmp_path, monkeypatch):
+    # the average of f over [a, b] reads no lambda and no q
     lhs_integrals = []
     integrate = fracineq.bounds.integrate
 
@@ -314,7 +402,42 @@ def test_sweep_integrates_simpson_lhs_once_per_fn_interval_lambda(
                        checks=("sarikaya", "remark"))
     summary = run_sweep(cfg, str(tmp_path / "r.csv"))
     assert summary.rows_total == 16   # 2 fns x 2 lambdas x 2 q x 2 checks
-    assert len(lhs_integrals) == 4    # 2 fns x 2 lambdas
+    assert len(lhs_integrals) == 2    # 2 fns, one interval
+
+
+def test_sweep_calls_phi4_once_per_distinct_argument_set(tmp_path,
+                                                          monkeypatch):
+    # thm22, the Hoelder corollaries and the phi4 oracle row all read
+    # phi4, and its upper branch runs an incomplete-beta quadrature
+    calls = collections.Counter()
+    phi4 = fracineq.bounds.phi4
+
+    def spy(*args):
+        calls[args] += 1
+        return phi4(*args)
+
+    monkeypatch.setattr(fracineq.bounds, "phi4", spy)
+    run_sweep(parse_sweep_config(SMALL_SWEEP_CFG), str(tmp_path / "r.csv"))
+    assert calls and set(calls.values()) == {1}
+
+
+def test_small_sweep_gk15_rounds_are_pinned(tmp_path, monkeypatch):
+    # every integral of the sweep runs in a few lockstep batches: one per
+    # block for the RL integrals and one for the kernel halves, one for
+    # all phi oracles; the Simpson average and incomplete betas run once
+    # per distinct argument set.  The serial sweep took 57 rounds.
+    rounds = []
+    gk15_round = fracineq.quad._gk15_round
+
+    def counted(live):
+        rounds.append(len(live))
+        return gk15_round(live)
+
+    monkeypatch.setattr(fracineq.quad, "_gk15_round", counted)
+    summary = run_sweep(parse_sweep_config(SMALL_SWEEP_CFG),
+                        str(tmp_path / "r.csv"))
+    assert summary.rows_total == 250
+    assert len(rounds) <= 15
 
 
 def test_memo_never_shares_entries_between_same_named_fns():

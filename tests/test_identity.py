@@ -13,7 +13,9 @@ import pytest
 from fracineq import DomainError, EvaluationError, Params, corpus_by_name, direct_side, \
     kernel_side, residual, rl_left, rl_right
 from fracineq.amconvex import FnTriple
-from fracineq.identity import fill_kernel_halves, standard_grid
+from fracineq.fracint import rl_left_result, rl_right_result
+from fracineq.identity import (_KERNEL_TOL, direct_with_budget, fill_kernel_halves,
+                               fill_rl_integrals, standard_grid)
 from fracineq.specfun import gamma
 
 FNS = {k: v.fn for k, v in corpus_by_name().items()}
@@ -167,6 +169,50 @@ def test_filled_halves_change_no_bit_and_a_failing_half_raises_alone():
             assert residual(p, fn, memo) == residual(p, fn), (fn.name, p)
     # the identity read only halves that were already filled or failed
     assert {(k[1], k[2]) for k in memo if k[0] == "kernel-half"} == stored
+
+
+def _rl_fresh(fn, key):
+    # the call the direct side makes for a memo key it does not hold
+    tag, _, lo, hi, kappa = key
+    if tag == "rl-left":
+        return rl_left_result(fn.f, lo, kappa, hi, _KERNEL_TOL)
+    return rl_right_result(fn.f, hi, kappa, lo, _KERNEL_TOL)
+
+
+def test_filled_rl_integrals_equal_fresh_ones():
+    # one batch over the whole grid for each function: every one-sided
+    # integral it stores must equal rl_*_result computed alone, bit for bit
+    for fn in FNS.values():
+        memo = {}
+        fill_rl_integrals([(p, fn) for p in standard_grid(0.0, 1.0)], memo)
+        assert memo and all(k[0] in ("rl-left", "rl-right") for k in memo)
+        assert {k[0] for k in memo} == {"rl-left", "rl-right"}
+        for key, res in memo.items():
+            assert res == _rl_fresh(fn, key), (fn.name, key)
+        for p in standard_grid(0.0, 1.0):
+            assert direct_with_budget(p, fn, memo) == direct_with_budget(p, fn)
+
+
+def test_a_failing_rl_integral_is_not_stored_and_raises_alone():
+    # f is not finite past 0.7: at x = 0.5 the integral over [x, m b] = [0.5, 1]
+    # fails and the one over [a, x] = [0, 0.5] does not
+    def f(u):
+        return math.inf if u > 0.7 else math.exp(u)
+
+    bad = FnTriple(f=f, df=math.exp, ddf=math.exp, name="inf-past-0.7")
+    pairs = [(p, bad) for p in standard_grid(0.0, 1.0)
+             if p.x == 0.5 and p.m == 1.0]
+    memo = {}
+    fill_rl_integrals(pairs, memo)
+    assert {k[0] for k in memo} == {"rl-right"}
+    for p, fn in pairs:
+        with pytest.raises(EvaluationError) as filled:
+            direct_with_budget(p, fn, memo)
+        with pytest.raises(EvaluationError) as alone:
+            direct_with_budget(p, fn)
+        assert str(filled.value) == str(alone.value)
+    # the failed integral was recomputed alone and stored nothing either
+    assert {k[0] for k in memo} == {"rl-right"}
 
 
 def test_params_validation():
