@@ -153,32 +153,6 @@ def corpus_by_name() -> MappingProxyType:
     return MappingProxyType({entry.fn.name: entry for entry in corpus()})
 
 
-def validate_derivatives(fn: FnTriple, n: int = 32, rel_tol: float = 1e-6) -> None:
-    """Check df and ddf against centered differences of f and df.
-
-    Sample points avoid the domain edges where the power-law members
-    have unbounded third derivatives.  Raises AssertionError on failure;
-    meant for the test suite, cheap enough to run anywhere.
-    """
-    lo, hi = fn.domain_hint
-    span = hi - lo
-    pts = np.linspace(lo + 0.05 * span, hi - 0.05 * span, n)
-    h = 6e-6 * max(1.0, span)
-    for x in pts:
-        fd1 = (float(fn.f(x + h)) - float(fn.f(x - h))) / (2.0 * h)
-        fd2 = (float(fn.df(x + h)) - float(fn.df(x - h))) / (2.0 * h)
-        d1 = float(fn.df(x))
-        d2 = float(fn.ddf(x))
-        if abs(fd1 - d1) > rel_tol * max(1.0, abs(d1)):
-            raise AssertionError(
-                "%s: df mismatch at x=%.6g (fd=%.12g, df=%.12g)"
-                % (fn.name, x, fd1, d1))
-        if abs(fd2 - d2) > rel_tol * max(1.0, abs(d2)):
-            raise AssertionError(
-                "%s: ddf mismatch at x=%.6g (fd=%.12g, ddf=%.12g)"
-                % (fn.name, x, fd2, d2))
-
-
 _ADMISSION_CACHE: dict = {}
 
 

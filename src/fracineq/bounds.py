@@ -35,8 +35,8 @@ import numpy as np
 
 from .amconvex import FnTriple, is_admitted
 from .errors import AdmissionError, DomainError
-from .identity import Params, direct_with_budget, memoized
-from .quad import Tolerance, integrate, integrate_groups
+from .identity import Params, direct_with_budget, memoized, memoized_integrals
+from .quad import Tolerance
 from .specfun import beta, beta_inc, hyp2f1
 
 HOLDS_SLACK = 1e-9
@@ -229,12 +229,15 @@ def phi(which: int, kappa: float, lam: float, *,
                     lambda: _closed_form(which, kappa, lam, alpha, p))
 
 
-def _oracle_jobs(which, kappa, lam, alpha, p) -> list:
-    """phi_oracle's argument checks, then its (integrand, lo, hi) jobs.
+def _oracle_spec(key: tuple) -> tuple:
+    """(jobs, scale) of a phi_oracle memo key: phi_oracle's argument
+    checks, then its (integrand, lo, hi) segments, summed.
 
     Splits at the kink t*; within each segment the kernel sign is fixed,
     so no abs() enters the integrand.
     """
+    _, _, which, kappa, lam, alpha = key
+    p = alpha       # the key's last slot: alpha for phi2/phi3, p for phi4
     _check_kl(kappa, lam)
     _check_which(which, alpha, p)
     if which in (2, 3):
@@ -262,14 +265,7 @@ def _oracle_jobs(which, kappa, lam, alpha, p) -> list:
         return t ** p * kern ** p
 
     return [(lambda t, sign=sign: integrand(t, sign), lo, hi)
-            for lo, hi, sign in segments]
-
-
-def _oracle_total(results: list) -> float:
-    total = 0.0
-    for res in results:
-        total += res.value
-    return total
+            for lo, hi, sign in segments], 1.0
 
 
 def phi_oracle(which: int, kappa: float, lam: float, *,
@@ -278,39 +274,25 @@ def phi_oracle(which: int, kappa: float, lam: float, *,
                memo: dict | None = None) -> float:
     """Evaluate the defining integral of phi<which> by quadrature.
 
-    Integrates each segment between the kink t* and the ends in turn and
-    sums them in order.  Completely independent of the closed forms and
-    of the beta/2F1 machinery.  With a memo the value is computed once
-    per sweep (fill_phi_oracles computes many in one batch).
+    Integrates the segments between the kink t* and the ends in one
+    batch and sums them in order.  Completely independent of the closed
+    forms and of the beta/2F1 machinery.  With a memo the value is
+    computed once per sweep (fill_phi_oracles computes many in one batch).
     """
-    jobs = _oracle_jobs(which, kappa, lam, alpha, p)
+    _check_which(which, alpha, p)     # before which enters a memo key
     tol = tol if tol is not None else _ORACLE_TOL
-    return memoized(
-        memo, ("phi-oracle", tol) + _moment_key(which, kappa, lam, alpha, p),
-        lambda: _oracle_total([integrate(*job, tol) for job in jobs]))
+    key = ("phi-oracle", tol) + _moment_key(which, kappa, lam, alpha, p)
+    res, = memoized_integrals(memo, [key], _oracle_spec, tol)
+    if isinstance(res, Exception):
+        raise res
+    return res.value
 
 
 def fill_phi_oracles(specs, memo: dict) -> None:
-    """Batch-compute phi_oracle of each (which, kappa, lam, alpha, p) of
-    specs not in memo, at the default tolerance, in one integrate_batch.
-
-    Only the values that succeed are stored; phi_oracle recomputes any
-    other alone, and raises there exactly as it would without this call.
-    """
-    todo = {}
-    for which, kappa, lam, alpha, p in specs:
-        key = ("phi-oracle", _ORACLE_TOL) + _moment_key(which, kappa, lam,
-                                                        alpha, p)
-        if key in memo or key in todo:
-            continue
-        try:
-            todo[key] = _oracle_jobs(which, kappa, lam, alpha, p)
-        except DomainError:
-            continue
-    for key, got in zip(todo, integrate_groups(list(todo.values()),
-                                               _ORACLE_TOL)):
-        if not isinstance(got, Exception):
-            memo[key] = _oracle_total(got)
+    """Compute phi_oracle of each (which, kappa, lam, alpha, p) of specs
+    not in memo, at the default tolerance, in one memoized_integrals call."""
+    keys = [("phi-oracle", _ORACLE_TOL) + _moment_key(*spec) for spec in specs]
+    memoized_integrals(memo, keys, _oracle_spec, _ORACLE_TOL)
 
 
 # --- reports ---------------------------------------------------------------
@@ -379,27 +361,24 @@ def _power_mean_moments(p: Params, memo: dict | None) -> tuple:
             phi(3, p.kappa, p.lam, alpha=p.alpha, memo=memo))
 
 
-def _theorem_lhs(p: Params, fn: FnTriple, check_admission: bool,
-                 memo: dict | None) -> float:
+def _theorem_lhs(p: Params, fn: FnTriple, memo: dict | None) -> float:
     # admission first, so an unadmitted function never costs an integral
-    if check_admission:
-        _require_admitted(fn, p.alpha, p.m, p.q, max(p.b, p.a / p.m))
+    _require_admitted(fn, p.alpha, p.m, p.q, max(p.b, p.a / p.m))
     return abs(direct_with_budget(p, fn, memo)[0])
 
 
-def bound_thm211(p: Params, fn: FnTriple, check_admission: bool = True,
+def bound_thm211(p: Params, fn: FnTriple,
                  memo: dict | None = None) -> BoundReport:
     """Power-mean route: phi1^(1-1/q) with the phi2/phi3 inner mix.
 
-    With a memo the report is computed once per (fn, p, check_admission),
+    With a memo the report is computed once per (fn, p),
     and its lhs, |direct side|, once per identity point.
     """
-    return memoized(memo, ("thm211", fn, p, check_admission),
-                    lambda: _thm211(p, fn, check_admission, memo))
+    return memoized(memo, ("thm211", fn, p), lambda: _thm211(p, fn, memo))
 
 
-def _thm211(p, fn, check_admission, memo):
-    lhs = _theorem_lhs(p, fn, check_admission, memo)
+def _thm211(p, fn, memo):
+    lhs = _theorem_lhs(p, fn, memo)
     f1, f2, f3 = _power_mean_moments(p, memo)
     d2x, d2a, d2b = _second_derivs(p, fn)
     q = p.q
@@ -411,21 +390,20 @@ def _thm211(p, fn, check_admission, memo):
     return _report("thm211", lhs, rhs)
 
 
-def bound_thm22(p: Params, fn: FnTriple, check_admission: bool = True,
+def bound_thm22(p: Params, fn: FnTriple,
                 memo: dict | None = None) -> BoundReport:
     """Hoelder route: phi4^(1/p) with the flat (alpha+1) inner mix; q > 1.
 
-    With a memo the report is computed once per (fn, p, check_admission),
+    With a memo the report is computed once per (fn, p),
     and its lhs, |direct side|, once per identity point.
     """
-    return memoized(memo, ("thm22", fn, p, check_admission),
-                    lambda: _thm22(p, fn, check_admission, memo))
+    return memoized(memo, ("thm22", fn, p), lambda: _thm22(p, fn, memo))
 
 
-def _thm22(p, fn, check_admission, memo):
+def _thm22(p, fn, memo):
     if not p.q > 1.0:
         raise DomainError("the Hoelder route needs q > 1, got q=%r" % (p.q,))
-    lhs = _theorem_lhs(p, fn, check_admission, memo)
+    lhs = _theorem_lhs(p, fn, memo)
     pp = p.q / (p.q - 1.0)
     f4 = phi(4, p.kappa, p.lam, p=pp, memo=memo)
     ga, gb = _holder_inner(p, fn)
@@ -436,16 +414,21 @@ def _thm22(p, fn, check_admission, memo):
 
 # --- classical baselines (kappa = m = alpha = 1) ---------------------------
 
-def _check_classical(fn: FnTriple, a: float, b: float, lam: float, q: float,
-                     check_admission: bool) -> None:
+def _check_classical(fn: FnTriple, a: float, b: float, lam: float,
+                     q: float) -> None:
     if not (0.0 <= lam <= 1.0):
         raise DomainError("lambda must lie in [0, 1], got %r" % (lam,))
     if not q >= 1.0:
         raise DomainError("q must be >= 1, got %r" % (q,))
     if not (0.0 <= a < b):
         raise DomainError("need 0 <= a < b, got a=%r b=%r" % (a, b))
-    if check_admission:
-        _require_admitted(fn, 1.0, 1.0, q, b)
+    _require_admitted(fn, 1.0, 1.0, q, b)
+
+
+def _average_spec(key: tuple) -> tuple:
+    """(jobs, scale) of a ("simpson-avg", fn, a, b) key: int_a^b f."""
+    _, fn, a, b = key
+    return [(fn.f, a, b)], 1.0
 
 
 def _simpson_blend_lhs(fn: FnTriple, a: float, b: float, lam: float,
@@ -453,8 +436,11 @@ def _simpson_blend_lhs(fn: FnTriple, a: float, b: float, lam: float,
     def compute():
         mid = 0.5 * (a + b)
         # the average reads no lambda: one integral per (fn, a, b)
-        avg = memoized(memo, ("simpson-avg", fn, a, b),
-                       lambda: integrate(fn.f, a, b, _LHS_TOL).value) / (b - a)
+        total, = memoized_integrals(memo, [("simpson-avg", fn, a, b)],
+                                    _average_spec, _LHS_TOL)
+        if isinstance(total, Exception):
+            raise total
+        avg = total.value / (b - a)
         return abs((1.0 - lam) * float(fn.f(mid))
                    + lam * 0.5 * (float(fn.f(a)) + float(fn.f(b))) - avg)
     return memoized(memo, ("simpson", fn, a, b, lam), compute)
@@ -475,7 +461,7 @@ def _sarikaya_terms_high(lam: float) -> tuple[float, float, float]:
 
 
 def bound_sarikaya(fn: FnTriple, a: float, b: float, lam: float, q: float,
-                   literal: bool = False, check_admission: bool = True,
+                   literal: bool = False,
                    memo: dict | None = None) -> BoundReport:
     """Classical two-branch Simpson-type baseline for convex |f''|^q.
 
@@ -484,7 +470,7 @@ def bound_sarikaya(fn: FnTriple, a: float, b: float, lam: float, q: float,
     literal=True to evaluate the uncorrected form.  The lhs is taken
     from memo when one is given.
     """
-    _check_classical(fn, a, b, lam, q, check_admission)
+    _check_classical(fn, a, b, lam, q)
     da = abs(float(fn.ddf(a)))
     db = abs(float(fn.ddf(b)))
     if lam <= 0.5:
@@ -522,13 +508,12 @@ def remark_phi3(lam: float) -> float:
 
 
 def remark_bound(fn: FnTriple, a: float, b: float, lam: float, q: float,
-                 check_admission: bool = True,
                  memo: dict | None = None) -> BoundReport:
     """The kappa = m = alpha = 1 specialization with its own moment table.
 
     The lhs is taken from memo when one is given.
     """
-    _check_classical(fn, a, b, lam, q, check_admission)
+    _check_classical(fn, a, b, lam, q)
     mid = 0.5 * (a + b)
     dm = abs(float(fn.ddf(mid)))
     da = abs(float(fn.ddf(a)))
@@ -784,7 +769,6 @@ def corollary_unmet(cid: str, p: Params) -> str | None:
 
 
 def corollary_check(cid: str, p: Params, fn: FnTriple,
-                    check_admission: bool = True,
                     memo: dict | None = None) -> CorollaryReport:
     """Compare a printed corollary right-hand side with the general bound.
 
@@ -803,10 +787,9 @@ def corollary_check(cid: str, p: Params, fn: FnTriple,
         raise DomainError(unmet)
 
     if spec.family == "pm":
-        base = bound_thm211(p, fn, check_admission=check_admission,
-                            memo=memo)
+        base = bound_thm211(p, fn, memo=memo)
     else:
-        base = bound_thm22(p, fn, check_admission=check_admission, memo=memo)
+        base = bound_thm22(p, fn, memo=memo)
     scale = 1.0 if cid == "2a-a" else (2.0 / p.width) ** (p.kappa - 1.0)
     lhs = scale * base.lhs
     general_rhs = scale * base.rhs

@@ -4,8 +4,8 @@ J^k[a+] f(x) = 1/Gamma(k) int_a^x (x - t)^(k-1) f(t) dt      (x > a)
 J^k[b-] f(x) = 1/Gamma(k) int_x^b (t - x)^(k-1) f(t) dt      (x < b)
 
 Order k = 0 is the identity operator (J^0 f = f), k = 1 the classical
-integral.  The (x - t)^(k-1) factor is handed to integrate_singular as
-an explicit endpoint weight, so 0 < k < 1 costs nothing extra.
+integral.  The (x - t)^(k-1) factor is an explicit endpoint weight of
+quad.singular_jobs, so 0 < k < 1 costs nothing extra.
 """
 
 from __future__ import annotations
@@ -14,18 +14,22 @@ import math
 from typing import Callable
 
 from .errors import DomainError
-from .quad import QuadResult, Tolerance, integrate_singular, singular_jobs
+from .quad import QuadResult, Tolerance, integrate, singular_jobs
 from .specfun import gamma
 
 
-def _check_order(kappa: float) -> None:
+def rl_job(f: Callable[[float], float], anchor: float, kappa: float,
+           x: float, left: bool) -> tuple:
+    """(job, g): the one (h, lo, hi) quadrature job of rl_left_result(f,
+    anchor, kappa, x) (left) or rl_right_result, and its scale, kappa > 0.
+
+    g times the job's result is that integral.  Raises what rl_*_result
+    raises before integrating.
+    """
     if not (kappa >= 0.0) or not math.isfinite(kappa):
         raise DomainError("fractional order must satisfy kappa >= 0, got %r" % (kappa,))
-
-
-def _setup(left: bool, anchor: float, kappa: float, x: float) -> tuple:
-    """integrate_singular's (lo, hi, p_lo, p_hi) for J^kappa at x, and
-    the scale 1/Gamma(kappa)."""
+    if kappa == 0.0:
+        raise DomainError("J^0 f = f needs no quadrature")
     if left:
         if not x > anchor:
             raise DomainError("rl_left requires x > a, got a=%r x=%r"
@@ -36,36 +40,17 @@ def _setup(left: bool, anchor: float, kappa: float, x: float) -> tuple:
             raise DomainError("rl_right requires x < b, got b=%r x=%r"
                               % (anchor, x))
         weight = (x, anchor, kappa - 1.0, 0.0)
-    return weight, 1.0 / gamma(kappa)
-
-
-def rl_scaled(g: float, res: QuadResult) -> QuadResult:
-    """The weighted integral res times the scale g = 1/Gamma(kappa)."""
-    return QuadResult(g * res.value, g * res.abs_error_estimate, res.subdivisions)
+    g = 1.0 / gamma(kappa)
+    job, = singular_jobs(f, *weight)
+    return job, g
 
 
 def _rl_result(left, f, anchor, kappa, x, tol):
-    _check_order(kappa)
     if kappa == 0.0:
         return QuadResult(float(f(x)), 0.0, 0)
-    weight, g = _setup(left, anchor, kappa, x)
-    return rl_scaled(g, integrate_singular(f, *weight, tol))
-
-
-def rl_job(f: Callable[[float], float], anchor: float, kappa: float,
-           x: float, left: bool) -> tuple:
-    """(job, g): the one (h, lo, hi) quadrature job of rl_left_result(f,
-    anchor, kappa, x) (left) or rl_right_result, and its scale, kappa > 0.
-
-    rl_scaled(g, the job's result) is that integral bit for bit, at the
-    same tolerance.  Raises what rl_*_result raises before integrating.
-    """
-    _check_order(kappa)
-    if kappa == 0.0:
-        raise DomainError("J^0 f = f needs no quadrature")
-    weight, g = _setup(left, anchor, kappa, x)
-    job, = singular_jobs(f, *weight)
-    return job, g
+    job, g = rl_job(f, anchor, kappa, x, left)
+    res = integrate(*job, tol)
+    return QuadResult(g * res.value, g * res.abs_error_estimate, res.subdivisions)
 
 
 def rl_left_result(f: Callable[[float], float], a: float, kappa: float,

@@ -26,8 +26,8 @@ from typing import NamedTuple
 from . import bounds
 from .amconvex import corpus, corpus_by_name
 from .errors import AdmissionError, ConvergenceError, DomainError, EvaluationError
-from .identity import (Params, fill_kernel_halves, fill_rl_integrals, memoized,
-                       point_key, residual)
+from .identity import (SIDE_TOL, Params, memoized, memoized_integrals,
+                       point_key, residual, side_keys, side_spec)
 from .quad import Tolerance, integrate
 
 CSV_COLUMNS = ("check", "fn", "a", "b", "m", "x", "lambda", "kappa",
@@ -251,11 +251,10 @@ _SWEEP_CHECKS = tuple(_CHECKS) + ("phi-oracle",)
 def _grid(cfg: SweepConfig, by_name, memo: dict):
     """Each grid point, in grid order, with its Params or None if invalid.
 
-    Integrals the rows will read are filled into memo ahead of them, each
-    kind in lockstep batches of its own: the oracle integrals of every
-    phi moment before the first point, and with the identity check the
-    one-sided integrals, then the kernel halves, of each (a, b, m, x)
-    block before its points.
+    Integrals the rows will read are filled into memo ahead of them in
+    lockstep batches: the oracle integrals of every phi moment before the
+    first point, and with the identity check the one-sided integrals and
+    kernel halves of each (a, b, m, x) block, together, before its points.
     """
     tails = list(itertools.product(cfg.lam, cfg.kappa, cfg.alpha, cfg.q))
     if "phi-oracle" in cfg.checks:
@@ -264,10 +263,10 @@ def _grid(cfg: SweepConfig, by_name, memo: dict):
     for block in itertools.product(cfg.a, cfg.b, cfg.m, cfg.x):
         points = [(block + tail, _grid_params(block + tail)) for tail in tails]
         if "identity" in cfg.checks:
-            pairs = [(prm, by_name[name].fn) for _, prm in points
-                     if prm is not None for name in cfg.fns]
-            fill_rl_integrals(pairs, memo)
-            fill_kernel_halves(pairs, memo)
+            keys = [key for _, prm in points if prm is not None
+                    for name in cfg.fns
+                    for key in side_keys(prm, by_name[name].fn)]
+            memoized_integrals(memo, keys, side_spec, SIDE_TOL)
         yield from points
 
 
@@ -615,7 +614,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (DomainError, AdmissionError, FileNotFoundError) as exc:
+    except (DomainError, AdmissionError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:

@@ -32,15 +32,15 @@ import numpy as np
 
 from .amconvex import FnTriple
 from .errors import DomainError
-from .fracint import rl_job, rl_left_result, rl_right_result, rl_scaled
-from .quad import Tolerance, integrate_batch, integrate_groups
+from .fracint import rl_job
+from .quad import QuadResult, Tolerance, integrate_batch
 from .specfun import gamma
 
 # slack on top of the propagated quadrature budget in the residual test
 RESIDUAL_FLOOR = 1e-9
 RESIDUAL_BUDGET_FACTOR = 10.0
 
-_KERNEL_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_subdiv=2000)
+SIDE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_subdiv=2000)
 
 
 @dataclass(frozen=True)
@@ -123,25 +123,67 @@ def memoized(memo: dict | None, key: tuple, compute):
         return value
 
 
+def memoized_integrals(memo: dict | None, keys: list, build,
+                       tol: Tolerance) -> list:
+    """The QuadResult of each memo key of keys, in order, stored in memo.
+
+    build(key) returns the (f, lo, hi) quadrature jobs of the integral a
+    key names and a scale: the integral is the scale times the sum of
+    their results, in job order.  The jobs of every distinct key missing
+    from memo run in one integrate_batch at tol, so a sweep block and a
+    single reader make the same call, with many keys or one.  A key whose
+    build raises, or one of whose jobs fails, gets that error (the first
+    in job order) in place of a QuadResult and is not stored: its next
+    reader computes it again and gets the same error.  When every key is
+    in memo this is one lookup per key.
+    """
+    store = {} if memo is None else memo
+    try:
+        return [store[key] for key in keys]
+    except KeyError:
+        pass
+    failed, todo = {}, []
+    for key in dict.fromkeys(keys):
+        if key not in store:
+            try:
+                todo.append((key,) + build(key))
+            except Exception as exc:    # the key's own failure, for its reader
+                failed[key] = exc
+    results = iter(integrate_batch([job for _, jobs, _ in todo for job in jobs],
+                                   tol))
+    for key, jobs, scale in todo:
+        parts = [next(results) for _ in jobs]
+        errors = [res for res in parts if isinstance(res, Exception)]
+        if errors:
+            failed[key] = errors[0]
+            continue
+        value, err = 0.0, 0.0
+        for res in parts:
+            value += res.value
+            err += res.abs_error_estimate
+        store[key] = QuadResult(scale * value, scale * err,
+                                sum(res.subdivisions for res in parts))
+    return [failed[key] if key in failed else store[key] for key in keys]
+
+
 def point_key(p: Params, fn: FnTriple) -> tuple:
     """The inputs both sides of the identity read: alpha and q enter neither."""
     return (fn, p.a, p.b, p.m, p.x, p.lam, p.kappa)
 
 
-def _rl_specs(p: Params, fn: FnTriple) -> list:
-    """(memo key, left, anchor, x) of each one-sided integral at p with a
-    nonzero gap: rl_left_result if left else rl_right_result, of fn.f.
+def _rl_keys(p: Params, fn: FnTriple) -> list:
+    """The memo key of each one-sided integral at p with a nonzero gap.
 
     Neither reads lambda, and each reads only its own end: J^k[x-] f(a)
     is the right-sided integral anchored at x, evaluated at a, and
     J^k[x+] f(mb) the left-sided one anchored at x, evaluated at m b.
     """
-    specs = []
+    keys = []
     if p.x - p.a > 0.0:
-        specs.append((("rl-right", fn, p.a, p.x, p.kappa), False, p.x, p.a))
+        keys.append(("rl-right", fn, p.a, p.x, p.kappa))
     if p.mb - p.x > 0.0:
-        specs.append((("rl-left", fn, p.x, p.mb, p.kappa), True, p.x, p.mb))
-    return specs
+        keys.append(("rl-left", fn, p.x, p.mb, p.kappa))
+    return keys
 
 
 def _direct_with_budget(p: Params, fn: FnTriple,
@@ -156,37 +198,13 @@ def _direct_with_budget(p: Params, fn: FnTriple,
     gk1 = gamma(k + 1.0)
     frac = 0.0
     budget = 0.0
-    for key, left, anchor, at in _rl_specs(p, fn):
-        rl = rl_left_result if left else rl_right_result
-        res = memoized(memo, key,
-                       lambda: rl(fn.f, anchor, k, at, _KERNEL_TOL))
+    for res in memoized_integrals(memo, _rl_keys(p, fn), side_spec, SIDE_TOL):
+        if isinstance(res, Exception):
+            raise res
         frac += res.value
         budget += res.abs_error_estimate
     value -= gk1 / w * frac
     return value, gk1 / w * budget
-
-
-def fill_rl_integrals(pairs, memo: dict) -> None:
-    """Batch-compute the one-sided integrals of these (Params, fn) pairs
-    not in memo, in one integrate_batch of their own.
-
-    Only the integrals that succeed are stored, so a failing one is
-    recomputed alone when the direct side reads it, and raises there
-    exactly as it would without this call.
-    """
-    todo = {key: (fn.f, anchor, p.kappa, at, left)
-            for p, fn in pairs for key, left, anchor, at in _rl_specs(p, fn)
-            if key not in memo}
-    ready = []
-    for key, spec in todo.items():
-        try:
-            ready.append((key,) + rl_job(*spec))
-        except OverflowError:
-            continue    # Gamma(kappa) overflows: the row raises it alone
-    got = integrate_batch([job for _, job, _ in ready], _KERNEL_TOL)
-    for (key, _, g), res in zip(ready, got):
-        if not isinstance(res, Exception):
-            memo[key] = rl_scaled(g, res)
 
 
 def direct_side(p: Params, fn: FnTriple) -> float:
@@ -216,35 +234,6 @@ def _kernel_pieces(fn: FnTriple, anchor: float, x: float, lam: float,
     return [(g, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
-def _kernel_halves(halves: list) -> list:
-    """(total, budget) of each (fn, anchor, x, lam, kappa) kernel half.
-
-    Every piece of every half is integrated in one batch; a half whose
-    piece fails holds that piece's error (the first, in cut order)
-    instead, exactly the error it raises alone.
-    """
-    out = []
-    for got in integrate_groups([_kernel_pieces(*half) for half in halves],
-                                _KERNEL_TOL):
-        if not isinstance(got, Exception):
-            total, budget = 0.0, 0.0
-            for res in got:
-                total += res.value
-                budget += res.abs_error_estimate
-            got = (total, budget)
-        out.append(got)
-    return out
-
-
-def _kernel_half(fn: FnTriple, anchor: float, x: float, lam: float,
-                 k: float) -> tuple[float, float]:
-    """One kernel half's (total, budget); raises the error of a failing piece."""
-    got, = _kernel_halves([(fn, anchor, x, lam, k)])
-    if isinstance(got, Exception):
-        raise got
-    return got
-
-
 def _half_keys(p: Params, fn: FnTriple) -> list:
     """(gap, memo key) of each kernel half at p with a nonzero gap to x.
 
@@ -255,29 +244,39 @@ def _half_keys(p: Params, fn: FnTriple) -> list:
             if gap > 0.0]
 
 
-def fill_kernel_halves(pairs, memo: dict) -> None:
-    """Batch-compute the kernel halves of these (Params, fn) pairs not in memo.
+def side_keys(p: Params, fn: FnTriple) -> list:
+    """The memo keys of every integral the two sides read at p: the
+    one-sided RL integrals, then the kernel halves."""
+    return _rl_keys(p, fn) + [key for _, key in _half_keys(p, fn)]
 
-    Only the halves that succeed are stored, so a failing half is
-    recomputed alone when the identity reads it, and raises there exactly
-    as it would without this call.
-    """
-    todo = {key: key[1:] for p, fn in pairs for _, key in _half_keys(p, fn)
-            if key not in memo}
-    for key, got in zip(todo, _kernel_halves(list(todo.values()))):
-        if not isinstance(got, Exception):
-            memo[key] = got
+
+def side_spec(key: tuple) -> tuple:
+    """memoized_integrals' (jobs, scale) of a side_keys key, at SIDE_TOL: a
+    kernel half's pieces, summed, or the one job of rl_left_result or
+    rl_right_result of fn.f, anchored at x, over the key's interval."""
+    if key[0] == "kernel-half":
+        return _kernel_pieces(*key[1:]), 1.0
+    tag, fn, lo, hi, kappa = key
+    if tag == "rl-left":
+        job, g = rl_job(fn.f, lo, kappa, hi, True)
+    else:
+        job, g = rl_job(fn.f, hi, kappa, lo, False)
+    return [job], g
 
 
 def _kernel_with_budget(p: Params, fn: FnTriple,
                         memo: dict | None = None) -> tuple[float, float]:
     k, w = p.kappa, p.width
+    halves = _half_keys(p, fn)
+    got = memoized_integrals(memo, [key for _, key in halves], side_spec,
+                             SIDE_TOL)
     value, budget = 0.0, 0.0
-    for gap, key in _half_keys(p, fn):
+    for (gap, _), half in zip(halves, got):
+        if isinstance(half, Exception):
+            raise half
         coef = gap ** (k + 2.0) / ((k + 1.0) * w)
-        tot, bud = memoized(memo, key, lambda: _kernel_half(*key[1:]))
-        value += coef * tot
-        budget += coef * bud
+        value += coef * half.value
+        budget += coef * half.abs_error_estimate
     return value, budget
 
 
@@ -311,19 +310,3 @@ def residual(p: Params, fn: FnTriple,
     rhs, b2 = _kernel_with_budget(p, fn, memo)
     return IdentityCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
                          quad_error_budget=b1 + b2)
-
-
-def standard_grid(a: float, b: float):
-    """The stock parameter grid used by the test batteries.
-
-    Yields Params over lambda x kappa x m x five x-stations; lambda
-    includes both branch regions and the branch point 1/(kappa+1).
-    """
-    for kappa in (0.5, 1.0, 2.0):
-        for lam in (0.0, 1.0 / (kappa + 1.0), 1.0 / 3.0, 0.5, 1.0):
-            for m in (0.6, 1.0):
-                if not a < m * b:
-                    continue
-                for j in range(5):
-                    x = a + (m * b - a) * j / 4.0
-                    yield Params(a=a, b=b, m=m, x=x, lam=lam, kappa=kappa)

@@ -77,7 +77,7 @@ class Tolerance:
     max_subdiv: int = 2000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadResult:
     value: float
     abs_error_estimate: float
@@ -301,22 +301,6 @@ def integrate_batch(jobs: list, tol: Tolerance | None = None) -> list:
             else:
                 out[job.slot] = got
         live = still
-    return out
-
-
-def integrate_groups(groups: list, tol: Tolerance | None = None) -> list:
-    """integrate_batch over the (f, lo, hi) jobs of every group together.
-
-    Returns, per group, the list of its jobs' results or, if one fails,
-    the first error in job order: the one its jobs raise run one by one.
-    """
-    results = iter(integrate_batch([job for jobs in groups for job in jobs],
-                                   tol))
-    out = []
-    for jobs in groups:
-        got = [next(results) for _ in jobs]
-        failed = [res for res in got if isinstance(res, Exception)]
-        out.append(failed[0] if failed else got)
     return out
 
 

@@ -18,8 +18,9 @@ from fracineq.bounds import (_phi1_below, _phi1_above, _phi2_below,
                              _phi4_mid, _phi4_upper, remark_phi1, remark_phi2,
                              remark_phi3)
 from fracineq.harness import remark_comparison_table, sanity_classical
-from fracineq.identity import standard_grid
 from fracineq.quad import Tolerance
+
+from conftest import standard_grid
 
 KAPPAS_ORACLE = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
 LAMS_ORACLE = tuple(i * 0.05 for i in range(21))
@@ -124,11 +125,11 @@ def test_criterion_06_theorem_validity():
                         x = m * j / 4.0
                         p = Params(a=0.0, b=1.0, m=m, x=x, lam=lam,
                                    kappa=kappa, alpha=alpha, q=q)
-                        r = bound_thm211(p, entry.fn, check_admission=False)
+                        r = bound_thm211(p, entry.fn)
                         rows += 1
                         failures += not r.holds
                         if q > 1.0:
-                            r = bound_thm22(p, entry.fn, check_admission=False)
+                            r = bound_thm22(p, entry.fn)
                             rows += 1
                             failures += not r.holds
     ok = failures == 0 and rows > 0

@@ -5,7 +5,9 @@ import pytest
 
 from fracineq import AdmissionError, DomainError, EvaluationError, FnTriple
 from fracineq import check_am_convex, corpus, corpus_by_name
-from fracineq.amconvex import is_admitted, validate_derivatives
+from fracineq.amconvex import is_admitted
+
+from conftest import validate_derivatives
 
 
 def test_corpus_has_six_members_with_claims():

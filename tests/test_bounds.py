@@ -239,7 +239,7 @@ def test_zero_second_derivative_degenerate():
     affine = FnTriple(f=lambda u: 2.0 * u + 0.5, df=lambda u: 2.0,
                       ddf=lambda u: 0.0, name="affine")
     p = Params(a=0.0, b=1.0, m=1.0, x=0.5, lam=0.5, kappa=1.0, alpha=1.0, q=1.0)
-    r = bound_thm211(p, affine, check_admission=False)
+    r = bound_thm211(p, affine)
     assert r.rhs == 0.0 and r.lhs <= 1e-13
     assert r.holds
     assert r.tightness == 0.0  # 0/0 reported as 0, not nan
@@ -288,8 +288,6 @@ def test_bounds_enforce_admission():
     p = Params(a=0.0, b=1.0, m=1.0, x=0.5, lam=0.5, kappa=1.0, alpha=0.5, q=1.0)
     with pytest.raises(AdmissionError):
         bound_thm211(p, FNS["exp"])
-    r = bound_thm211(p, FNS["exp"], check_admission=False)
-    assert math.isfinite(r.rhs)
 
 
 def test_thm22_dominates_thm211_is_not_assumed():
@@ -342,9 +340,8 @@ def test_sarikaya_literal_duplicates_endpoint():
     assert rl.rhs > r.rhs
     sym = FnTriple(f=lambda u: u * u, df=lambda u: 2.0 * u,
                    ddf=lambda u: 2.0, name="square")
-    r = bound_sarikaya(sym, 0.0, 1.0, 0.2, 1.0, check_admission=False)
-    rl = bound_sarikaya(sym, 0.0, 1.0, 0.2, 1.0, literal=True,
-                        check_admission=False)
+    r = bound_sarikaya(sym, 0.0, 1.0, 0.2, 1.0)
+    rl = bound_sarikaya(sym, 0.0, 1.0, 0.2, 1.0, literal=True)
     assert r.rhs == rl.rhs
     # high branch has no duplicated term
     r = bound_sarikaya(FNS["exp"], 0.0, 1.0, 0.8, 2.0)

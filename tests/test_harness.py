@@ -273,65 +273,44 @@ def _spy_args(monkeypatch, module, name):
     return calls
 
 
-def _spy_halves(monkeypatch):
-    """Count the kernel halves _kernel_halves computes, by their arguments.
+def _spy_integrals(monkeypatch):
+    """Count the integrals identity.memoized_integrals computes, by memo key.
 
-    A half that fails stores nothing in the memo, so it is not counted.
+    A key counts when the call computes and stores it: a key already in
+    the memo, or one that fails, stores nothing and is not counted.
     """
     calls = collections.Counter()
-    original = fracineq.identity._kernel_halves
+    original = fracineq.identity.memoized_integrals
 
-    def spy(halves):
-        got = original(halves)
-        for half, res in zip(halves, got):
-            if not isinstance(res, Exception):
-                calls[half] += 1
+    def spy(memo, keys, build, tol):
+        missing = [key for key in dict.fromkeys(keys)
+                   if memo is None or key not in memo]
+        got = original(memo, keys, build, tol)
+        done = dict(zip(keys, got))
+        for key in missing:
+            if not isinstance(done[key], Exception):
+                calls[key] += 1
         return got
 
-    monkeypatch.setattr(fracineq.identity, "_kernel_halves", spy)
-    return calls
-
-
-def _spy_rl(monkeypatch):
-    """Count the RL integrals the identity computes, alone or as batch jobs.
-
-    Keys are (f, anchor, kappa, x, left).  A job counts when it is built,
-    so this reads "computed once" only where no integral fails.
-    """
-    calls = collections.Counter()
-    for name, left in (("rl_left_result", True), ("rl_right_result", False)):
-        original = getattr(fracineq.identity, name)
-
-        def spy(f, anchor, kappa, x, tol=None, original=original, left=left):
-            value = original(f, anchor, kappa, x, tol)
-            calls[(f, anchor, kappa, x, left)] += 1
-            return value
-
-        monkeypatch.setattr(fracineq.identity, name, spy)
-    job = fracineq.identity.rl_job
-
-    def spy_job(*args):
-        calls[args] += 1
-        return job(*args)
-
-    monkeypatch.setattr(fracineq.identity, "rl_job", spy_job)
+    for module in (fracineq.identity, fracineq.bounds, fracineq.harness):
+        monkeypatch.setattr(module, "memoized_integrals", spy)
     return calls
 
 
 def test_sweep_computes_each_one_sided_integral_once(tmp_path, monkeypatch):
     # neither RL integral reads lambda and each kernel half reads only its
     # own anchor, so the two lambdas and the shared x-stations of the small
-    # config repeat every one of them across identity points.  Both kinds
-    # are computed in batches, one per (a, b, m, x) block, or alone.
-    spies = {"rl": _spy_rl(monkeypatch),
-             "_kernel_halves": _spy_halves(monkeypatch)}
+    # config repeat every one of them across identity points.  Every kind
+    # of memoized integral is computed in a block's batch or alone, once.
+    computed = _spy_integrals(monkeypatch)
     direct = _spy(monkeypatch, fracineq.identity, "_direct_with_budget")
     run_sweep(parse_sweep_config(SMALL_SWEEP_CFG), str(tmp_path / "r.csv"))
-    for name, calls in spies.items():
-        assert calls and set(calls.values()) == {1}, name
+    tags = ("rl-left", "rl-right", "kernel-half", "phi-oracle", "simpson-avg")
+    assert {key[0] for key in computed} == set(tags)
+    assert set(computed.values()) == {1}
     # fewer integrals than identity points is where the saving comes from
-    for left in (True, False):
-        assert 0 < sum(key[-1] is left for key in spies["rl"]) < len(direct)
+    for tag in ("rl-left", "rl-right"):
+        assert 0 < sum(key[0] == tag for key in computed) < len(direct)
 
 
 def test_sweep_computes_each_theorem_report_once(tmp_path, monkeypatch):
@@ -390,19 +369,13 @@ def test_sweep_keeps_the_rows_that_computed_when_some_overflow(
 def test_sweep_integrates_simpson_average_once_per_fn_interval(
         tmp_path, monkeypatch):
     # the average of f over [a, b] reads no lambda and no q
-    lhs_integrals = []
-    integrate = fracineq.bounds.integrate
-
-    def counted(f, a, b, tol):
-        lhs_integrals.append((f, a, b))
-        return integrate(f, a, b, tol)
-
-    monkeypatch.setattr(fracineq.bounds, "integrate", counted)
+    computed = _spy_integrals(monkeypatch)
     cfg = small_config(fns=("exp", "cubic/6"), q=(1.0, 2.0),
                        checks=("sarikaya", "remark"))
     summary = run_sweep(cfg, str(tmp_path / "r.csv"))
     assert summary.rows_total == 16   # 2 fns x 2 lambdas x 2 q x 2 checks
-    assert len(lhs_integrals) == 2    # 2 fns, one interval
+    assert list(computed.values()) == [1, 1]      # 2 fns, one interval
+    assert {key[0] for key in computed} == {"simpson-avg"}
 
 
 def test_sweep_calls_phi4_once_per_distinct_argument_set(tmp_path,
@@ -423,9 +396,10 @@ def test_sweep_calls_phi4_once_per_distinct_argument_set(tmp_path,
 
 def test_small_sweep_gk15_rounds_are_pinned(tmp_path, monkeypatch):
     # every integral of the sweep runs in a few lockstep batches: one per
-    # block for the RL integrals and one for the kernel halves, one for
-    # all phi oracles; the Simpson average and incomplete betas run once
-    # per distinct argument set.  The serial sweep took 57 rounds.
+    # block for its RL integrals and kernel halves together, one for all
+    # phi oracles; the Simpson average and incomplete betas run once per
+    # distinct argument set.  The serial sweep took 57 rounds; separate
+    # RL and kernel-half batches per block took 15.
     rounds = []
     gk15_round = fracineq.quad._gk15_round
 
@@ -437,7 +411,7 @@ def test_small_sweep_gk15_rounds_are_pinned(tmp_path, monkeypatch):
     summary = run_sweep(parse_sweep_config(SMALL_SWEEP_CFG),
                         str(tmp_path / "r.csv"))
     assert summary.rows_total == 250
-    assert len(rounds) <= 15
+    assert len(rounds) <= 10
 
 
 def test_memo_never_shares_entries_between_same_named_fns():
@@ -450,8 +424,8 @@ def test_memo_never_shares_entries_between_same_named_fns():
     second = residual(p, twin, memo)
     assert second.lhs == pytest.approx(2.0 * first.lhs, rel=1e-12)
     assert second.rhs == pytest.approx(2.0 * first.rhs, rel=1e-12)
-    lhs = [bound_sarikaya(fn, 0.0, 1.0, 0.5, 1.0, check_admission=False,
-                          memo=memo).lhs for fn in (exp, twin)]
+    lhs = [bound_sarikaya(fn, 0.0, 1.0, 0.5, 1.0, memo=memo).lhs
+           for fn in (exp, twin)]
     assert lhs[1] == pytest.approx(2.0 * lhs[0], rel=1e-9)
 
 
@@ -546,6 +520,27 @@ def test_cli_domain_errors_exit_2(capsys):
     assert "error" in capsys.readouterr().err.lower()
     assert main(["sweep", "--config", "/nonexistent/sweep.cfg",
                  "--out", "/tmp/unused.csv"]) == 2
+
+
+@pytest.mark.parametrize("case", ["config-is-dir", "config-not-utf8",
+                                  "sweep-out-is-dir", "remark-out-is-dir"])
+def test_cli_bad_paths_exit_2_without_a_traceback(tmp_path, capsys, case):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("a=0\nb=1\nm=1\nx=0.5\nlambda=0.5\nkappa=1\nq=2\n"
+                   "fn=exp\ncheck=identity\n")
+    out = str(tmp_path / "rows.csv")
+    if case == "config-is-dir":
+        argv = ["sweep", "--config", str(tmp_path), "--out", out]
+    elif case == "config-not-utf8":
+        cfg.write_bytes(b"fn = exp\n# caf\xe9\n")
+        argv = ["sweep", "--config", str(cfg), "--out", out]
+    elif case == "sweep-out-is-dir":
+        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path)]
+    else:
+        argv = ["remark-table", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_admission_failure_exit_2(capsys):

@@ -6,6 +6,7 @@ t ((kappa+1) lambda - t^kappa) f'' over both subintervals.  Equality is
 exact in theory, so residuals are held to the quadrature budget.
 """
 
+import collections
 import math
 
 import pytest
@@ -14,11 +15,25 @@ from fracineq import DomainError, EvaluationError, Params, corpus_by_name, direc
     kernel_side, residual, rl_left, rl_right
 from fracineq.amconvex import FnTriple
 from fracineq.fracint import rl_left_result, rl_right_result
-from fracineq.identity import (_KERNEL_TOL, direct_with_budget, fill_kernel_halves,
-                               fill_rl_integrals, standard_grid)
+import fracineq.identity
+from fracineq.identity import (SIDE_TOL, direct_with_budget, memoized_integrals,
+                               side_keys, side_spec)
 from fracineq.specfun import gamma
 
+from conftest import standard_grid
+
 FNS = {k: v.fn for k, v in corpus_by_name().items()}
+
+RL_TAGS = ("rl-left", "rl-right")
+HALF_TAGS = ("kernel-half",)
+
+
+def _fill(pairs, memo, tags=RL_TAGS + HALF_TAGS):
+    """One memoized_integrals call over the integrals of these kinds that
+    the two sides read at each (Params, fn) pair, as a sweep block fills."""
+    keys = [key for p, fn in pairs for key in side_keys(p, fn)
+            if key[0] in tags]
+    memoized_integrals(memo, keys, side_spec, SIDE_TOL)
 
 
 def test_symmetric_frozen_case():
@@ -154,7 +169,7 @@ def test_filled_halves_change_no_bit_and_a_failing_half_raises_alone():
     pairs = [(p, fn) for fn in (FNS["exp"], FNS["pow-2.5"], bad)
              for p in standard_grid(0.0, 1.0) if p.x == 0.5]
     memo = {}
-    fill_kernel_halves(pairs, memo)
+    _fill(pairs, memo, HALF_TAGS)
     assert all(k[0] == "kernel-half" for k in memo)
     stored = {(k[1], k[2]) for k in memo}
     assert (bad, 0.0) in stored and (bad, 1.0) not in stored
@@ -175,8 +190,8 @@ def _rl_fresh(fn, key):
     # the call the direct side makes for a memo key it does not hold
     tag, _, lo, hi, kappa = key
     if tag == "rl-left":
-        return rl_left_result(fn.f, lo, kappa, hi, _KERNEL_TOL)
-    return rl_right_result(fn.f, hi, kappa, lo, _KERNEL_TOL)
+        return rl_left_result(fn.f, lo, kappa, hi, SIDE_TOL)
+    return rl_right_result(fn.f, hi, kappa, lo, SIDE_TOL)
 
 
 def test_filled_rl_integrals_equal_fresh_ones():
@@ -184,7 +199,7 @@ def test_filled_rl_integrals_equal_fresh_ones():
     # integral it stores must equal rl_*_result computed alone, bit for bit
     for fn in FNS.values():
         memo = {}
-        fill_rl_integrals([(p, fn) for p in standard_grid(0.0, 1.0)], memo)
+        _fill([(p, fn) for p in standard_grid(0.0, 1.0)], memo, RL_TAGS)
         assert memo and all(k[0] in ("rl-left", "rl-right") for k in memo)
         assert {k[0] for k in memo} == {"rl-left", "rl-right"}
         for key, res in memo.items():
@@ -203,7 +218,7 @@ def test_a_failing_rl_integral_is_not_stored_and_raises_alone():
     pairs = [(p, bad) for p in standard_grid(0.0, 1.0)
              if p.x == 0.5 and p.m == 1.0]
     memo = {}
-    fill_rl_integrals(pairs, memo)
+    _fill(pairs, memo, RL_TAGS)
     assert {k[0] for k in memo} == {"rl-right"}
     for p, fn in pairs:
         with pytest.raises(EvaluationError) as filled:
@@ -213,6 +228,54 @@ def test_a_failing_rl_integral_is_not_stored_and_raises_alone():
         assert str(filled.value) == str(alone.value)
     # the failed integral was recomputed alone and stored nothing either
     assert {k[0] for k in memo} == {"rl-right"}
+
+
+def test_a_filled_block_is_read_without_building_a_job(monkeypatch):
+    # after one fill of an (a, b, m, x) block, every residual there must
+    # read its integrals from the memo: one lookup each, no job built
+    block = [(p, fn) for p in standard_grid(0.0, 1.0)
+             if (p.m, p.x) == (1.0, 0.5) for fn in FNS.values()]
+    memo = {}
+    _fill(block, memo)
+    built = collections.Counter()
+    for name in ("rl_job", "_kernel_pieces"):
+        original = getattr(fracineq.identity, name)
+
+        def spy(*args, name=name, original=original):
+            built[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(fracineq.identity, name, spy)
+    for p, fn in block:
+        residual(p, fn, memo)
+    assert not built
+    # the spies do see a point outside the block build its jobs
+    residual(Params(a=0.0, b=1.0, m=1.0, x=0.25, lam=0.5, kappa=1.0),
+             FNS["exp"], memo)
+    assert built["rl_job"] == 2 and built["_kernel_pieces"] == 2
+
+
+def test_a_mixed_fill_stores_each_kind_as_it_is_stored_alone():
+    # one batch of RL integrals and kernel halves together must store every
+    # value bit for bit as a batch of either kind alone, and the same keys
+    # (a failing integral of either kind is stored by neither)
+    def f(u):
+        return math.inf if u > 0.7 else math.exp(u)
+
+    bad = FnTriple(f=f, df=math.exp, ddf=f, name="inf-past-0.7")
+    pairs = [(p, fn) for p in standard_grid(0.0, 1.0)
+             for fn in (FNS["exp"], FNS["pow-2.5"], bad)]
+    mixed, alone = {}, {}
+    _fill(pairs, mixed)
+    for tags in (RL_TAGS, HALF_TAGS):
+        memo = {}
+        _fill(pairs, memo, tags)
+        alone.update(memo)
+    assert mixed.keys() == alone.keys()
+    bad_keys = {k for p, fn in pairs if fn is bad for k in side_keys(p, fn)}
+    assert 0 < len(bad_keys & mixed.keys()) < len(bad_keys)
+    for key, value in mixed.items():
+        assert repr(value) == repr(alone[key]), key
 
 
 def test_params_validation():

@@ -210,7 +210,7 @@ def test_batch_matches_the_serial_loop_bit_for_bit():
     import numpy as np
 
     from fracineq import Params, corpus_by_name
-    from fracineq.identity import _KERNEL_TOL, _kernel_pieces
+    from fracineq.identity import SIDE_TOL, _kernel_pieces
 
     jobs = [(np.exp, 0.0, 1.0), (lambda t: np.sin(30.0 * t), 0.0, 2.0),
             (lambda t: abs(t - 0.3), 0.0, 1.0),
@@ -220,9 +220,9 @@ def test_batch_matches_the_serial_loop_bit_for_bit():
             p = Params(a=0.0, b=1.0, m=1.0, x=0.3, lam=lam, kappa=kappa)
             for anchor in (p.a, p.mb):
                 jobs += _kernel_pieces(entry.fn, anchor, p.x, lam, kappa)
-    got = integrate_batch(jobs, _KERNEL_TOL)
+    got = integrate_batch(jobs, SIDE_TOL)
     for (f, lo, hi), res in zip(jobs, got):
-        assert res == _serial_reference(f, lo, hi, _KERNEL_TOL)
+        assert res == _serial_reference(f, lo, hi, SIDE_TOL)
     assert sum(r.subdivisions for r in got) > 5 * len(jobs)
 
 
