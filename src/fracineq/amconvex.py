@@ -31,12 +31,13 @@ DEFAULT_GRID = (41, 41, 33)
 VIOLATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FnTriple:
     """A test function with its first two derivatives.
 
     The callables must accept numpy arrays; df and ddf are spot-checked
     against finite differences of their antiderivative in the tests.
+    Equal and hashed by identity, so cache keys never compare fields.
     """
 
     f: Callable

@@ -77,31 +77,35 @@ DEFAULT_CONFIG = SweepConfig(
 def parse_sweep_config(path: str) -> SweepConfig:
     """Read a plain key = value file; repeated keys accumulate into lists."""
     raw: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError("%s:%d: expected key = value, got %r"
-                                  % (path, lineno, line))
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in _SWEEP_NUMERIC_KEYS:
-                try:
-                    raw.setdefault(key, []).append(float(value))
-                except ValueError:
-                    raise DomainError("%s:%d: %s needs a number, got %r"
-                                      % (path, lineno, key, value)) from None
-            elif key in ("fn", "check"):
-                known = corpus_by_name() if key == "fn" else _SWEEP_CHECKS
-                if value not in known:
-                    raise DomainError("%s:%d: unknown %s %r (known: %s)"
-                                      % (path, lineno, key, value,
-                                         ", ".join(sorted(known))))
-                raw.setdefault(key, []).append(value)
-            else:
-                raise DomainError("%s:%d: unknown key %r" % (path, lineno, key))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DomainError("%s: not UTF-8 text: %s" % (path, exc)) from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError("%s:%d: expected key = value, got %r"
+                              % (path, lineno, line))
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key in _SWEEP_NUMERIC_KEYS:
+            try:
+                raw.setdefault(key, []).append(float(value))
+            except ValueError:
+                raise DomainError("%s:%d: %s needs a number, got %r"
+                                  % (path, lineno, key, value)) from None
+        elif key in ("fn", "check"):
+            known = corpus_by_name() if key == "fn" else _SWEEP_CHECKS
+            if value not in known:
+                raise DomainError("%s:%d: unknown %s %r (known: %s)"
+                                  % (path, lineno, key, value,
+                                     ", ".join(sorted(known))))
+            raw.setdefault(key, []).append(value)
+        else:
+            raise DomainError("%s:%d: unknown key %r" % (path, lineno, key))
     d = DEFAULT_CONFIG
     return SweepConfig(
         a=tuple(raw.get("a", d.a)),
@@ -129,19 +133,6 @@ class SweepSummary:
     @property
     def ok(self) -> bool:
         return self.rows_held == self.rows_total and self.failed == 0
-
-
-def _row(which, fn_name, pt, lhs, rhs, holds, tightness, res):
-    """One CSV line, in CSV_COLUMNS order."""
-    return ([which, fn_name] + [_fmt(v) for v in pt + (lhs, rhs)]
-            + [_fmt_bool(holds), _fmt(tightness), _fmt(res)])
-
-
-def _write_csv(path: str, columns: tuple, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
 
 
 # --- the sweep's checks ------------------------------------------------------
@@ -291,10 +282,13 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
     the ids of the corollaries that apply at each Params, and the Simpson
     average per (fn, a, b).  Most integrals run in lockstep batches (see
     _grid); none of this changes a bit of any row.
+
+    out_path is opened before any work, and each row is written as it is
+    produced: a bad path fails first, and a crash keeps the rows before it.
     """
     by_name = corpus_by_name()
     memo: dict = {}
-    rows = []
+    total = 0
     skipped = 0
     failed = 0
     held = 0
@@ -302,44 +296,49 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
     max_resid = 0.0
     phi_seen = set()
 
-    for pt, prm in _grid(cfg, by_name, memo):
-        for check in cfg.checks:
-            if check == "phi-oracle":
-                if pt[4:] in phi_seen:
-                    continue
-                phi_seen.add(pt[4:])
-                batches = [("-", None, _phi_rows)]
-            else:
-                batches = [(name, by_name[name].fn, _CHECKS[check])
-                           for name in cfg.fns]
-            for fn_name, fn, produce in batches:
-                try:
-                    out = produce(pt, prm, fn, memo)
-                except (DomainError, AdmissionError):
-                    out = []
-                except _NUMERICAL_ERRORS as exc:
-                    out = [_Failed(check, exc)]
-                if not out:
-                    skipped += 1
-                for row in out:
-                    if isinstance(row, _Failed):
-                        failed += 1
-                        where = " ".join("%s=%r" % kv for kv in
-                                         zip(_SWEEP_NUMERIC_KEYS, pt))
-                        print("sweep: %s failed for fn %s at %s: %s"
-                              % (row.which, fn_name, where, row.error),
-                              file=sys.stderr)
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for pt, prm in _grid(cfg, by_name, memo):
+            cells = [_fmt(v) for v in pt]
+            for check in cfg.checks:
+                if check == "phi-oracle":
+                    if pt[4:] in phi_seen:
                         continue
-                    which, lhs, rhs, ok, tight, res = row
-                    rows.append(_row(which, fn_name, pt, lhs, rhs, ok,
-                                     tight, res))
-                    held += ok
-                    worst_tight = max(worst_tight, tight)
-                    if which == "identity":
-                        max_resid = max(max_resid, res)
+                    phi_seen.add(pt[4:])
+                    batches = [("-", None, _phi_rows)]
+                else:
+                    batches = [(name, by_name[name].fn, _CHECKS[check])
+                               for name in cfg.fns]
+                for fn_name, fn, produce in batches:
+                    try:
+                        out = produce(pt, prm, fn, memo)
+                    except (DomainError, AdmissionError):
+                        out = []
+                    except _NUMERICAL_ERRORS as exc:
+                        out = [_Failed(check, exc)]
+                    if not out:
+                        skipped += 1
+                    for row in out:
+                        if isinstance(row, _Failed):
+                            failed += 1
+                            where = " ".join("%s=%r" % kv for kv in
+                                             zip(_SWEEP_NUMERIC_KEYS, pt))
+                            print("sweep: %s failed for fn %s at %s: %s"
+                                  % (row.which, fn_name, where, row.error),
+                                  file=sys.stderr)
+                            continue
+                        which, lhs, rhs, ok, tight, res = row
+                        writer.writerow([which, fn_name, *cells, _fmt(lhs),
+                                         _fmt(rhs), _fmt_bool(ok),
+                                         _fmt(tight), _fmt(res)])
+                        total += 1
+                        held += ok
+                        worst_tight = max(worst_tight, tight)
+                        if which == "identity":
+                            max_resid = max(max_resid, res)
 
-    _write_csv(out_path, CSV_COLUMNS, rows)
-    return SweepSummary(rows_total=len(rows), rows_held=int(held),
+    return SweepSummary(rows_total=total, rows_held=int(held),
                         skipped=skipped, failed=failed,
                         worst_tightness=worst_tight,
                         max_identity_residual=max_resid)
@@ -442,7 +441,10 @@ def remark_comparison_table(a: float = 0.0, b: float = 1.0) -> list:
 def write_remark_table(rows: list, out_path: str) -> None:
     cols = ("fn", "lambda", "q", "lhs", "remark_rhs", "sarikaya_rhs",
             "remark_holds", "sarikaya_holds", "remark_leq_sarikaya")
-    _write_csv(out_path, cols, [[r[c] for c in cols] for r in rows])
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        writer.writerows([r[c] for c in cols] for r in rows)
 
 
 # --- CLI -------------------------------------------------------------------
@@ -614,7 +616,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (DomainError, AdmissionError, OSError, UnicodeDecodeError) as exc:
+    except (DomainError, AdmissionError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:

@@ -84,6 +84,10 @@ class QuadResult:
     subdivisions: int
 
 
+_DEFAULT_TOL = Tolerance()
+_NO_WORK = QuadResult(0.0, 0.0, 0)     # the integral over an empty interval
+
+
 class _Evaluator:
     """Calls f on an array of any shape, falling back to a scalar loop.
 
@@ -140,7 +144,7 @@ class _Job:
         if self.split is None:
             ((lo, hi),), ((v, e),) = self.todo, rules
             self.value, self.err = v, e
-            heapq.heappush(self.heap, (-e, 0, lo, hi, v, e))
+            worst = (-e, 0, lo, hi, v, e)
         else:
             ((a, mid), (_, b)), ((v1, e1), (v2, e2)) = self.todo, rules
             v, e = self.split
@@ -149,7 +153,8 @@ class _Job:
             self.nsub += 1
             # tie-break counter: 1, 2, ... in push order, unique per heap
             heapq.heappush(self.heap, (-e1, 2 * self.nsub - 1, a, mid, v1, e1))
-            heapq.heappush(self.heap, (-e2, 2 * self.nsub, mid, b, v2, e2))
+            worst = heapq.heappushpop(self.heap,
+                                      (-e2, 2 * self.nsub, mid, b, v2, e2))
         if not math.isfinite(self.value + self.err):
             self._check_rules(rules)
 
@@ -161,7 +166,7 @@ class _Job:
                 "(value=%.17g, error=%.3g)" % (self.nsub, self.value, self.err),
                 estimate=self._best(),
             )
-        _, _, a, b, v, e = heapq.heappop(self.heap)
+        _, _, a, b, v, e = worst
         if e <= 0.1 * _EPS * abs(self.value):
             # worst interval is already at round-off level; cannot improve
             return self._best()
@@ -212,19 +217,24 @@ def _join(arrays: list) -> np.ndarray:
 def _gk15_round(live: list) -> list:
     """One Gauss-Kronrod 7/15 pass over every todo interval of every job.
 
-    Each job's intervals are sampled in one integrand call; the rule sums
-    of all rows are then taken together over the (rows, 15) block with
-    vecdot, which reduces each row exactly as a 1-D dot product does (a
-    matrix-vector product does not).  Returns, per job, its (value,
-    error) pairs or the exception that stopped it.
+    The nodes of all todo intervals form one (rows, 15) block; each job
+    samples a 1-D view of its own rows in one integrand call.  The rule
+    sums of all rows are then taken together with vecdot, which reduces
+    each row exactly as a 1-D dot product does (a matrix-vector product
+    does not).  Returns, per job, its (value, error) pairs or the
+    exception that stopped it.
     """
-    half, xs, ys, out = [], [], [], []
+    mid, half, xs, ys, out = [], [], [], [], []
     for job in live:
-        nodes = []
         for lo, hi in job.todo:
+            mid.append(0.5 * (lo + hi))
             half.append(0.5 * (hi - lo))
-            nodes.append(0.5 * (lo + hi) + half[-1] * _NODES)
-        xs.append(_join(nodes))
+    nodes = np.array(mid)[:, None] + np.array(half)[:, None] * _NODES
+    r = 0
+    for job in live:
+        n = len(job.todo)
+        xs.append(nodes[r:r + n].ravel())
+        r += n
         try:
             ys.append(job.ev(xs[-1]))
             out.append(None)
@@ -283,10 +293,10 @@ def integrate_batch(jobs: list, tol: Tolerance | None = None) -> list:
     estimate, one whose integrand raises holds that exception; the other
     jobs go on.  A malformed interval raises DomainError before any work.
     """
-    tol = tol if tol is not None else Tolerance()
+    tol = tol if tol is not None else _DEFAULT_TOL
     for _, lo, hi in jobs:
         _check_interval(lo, hi)
-    out = [QuadResult(0.0, 0.0, 0)] * len(jobs)
+    out = [_NO_WORK] * len(jobs)
     live = [_Job(i, f, lo, hi) for i, (f, lo, hi) in enumerate(jobs) if hi > lo]
     while live:
         still = []
@@ -397,10 +407,10 @@ def integrate_singular(f: Callable[[float], float], lo: float, hi: float,
     carry all the singular behaviour.  Exponents must exceed -1, anything
     else is a divergent weight and raises DomainError.
     """
-    tol = tol if tol is not None else Tolerance()
+    tol = tol if tol is not None else _DEFAULT_TOL
     jobs = singular_jobs(f, lo, hi, p_lo, p_hi)
     if len(jobs) < 2:
-        return integrate(*jobs[0], tol) if jobs else QuadResult(0.0, 0.0, 0)
+        return integrate(*jobs[0], tol) if jobs else _NO_WORK
     half_tol = Tolerance(tol.abs_tol * 0.5, tol.rel_tol, tol.max_subdiv)
     r1, r2 = [integrate(*job, half_tol) for job in jobs]
     return QuadResult(r1.value + r2.value,

@@ -9,6 +9,7 @@ import pytest
 
 import fracineq.amconvex
 import fracineq.bounds
+import fracineq.harness
 import fracineq.identity
 import fracineq.quad
 from fracineq import (DomainError, FnTriple, Params, bound_sarikaya,
@@ -101,6 +102,34 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
     with open(out2, "rb") as fh:
         blob2 = fh.read()
     assert blob1 == blob2
+
+
+def test_sweep_crash_keeps_the_rows_written_before_it(tmp_path,
+                                                    monkeypatch):
+    # rows are streamed: an exception that ends the sweep leaves the
+    # header and every row produced before it, byte for byte as a clean
+    # run writes them
+    clean = tmp_path / "clean.csv"
+    run_sweep(parse_sweep_config(SMALL_SWEEP_CFG), str(clean))
+    lines = clean.read_bytes().splitlines(keepends=True)
+    sarikaya_rows = [i for i, line in enumerate(lines)
+                     if line.startswith(b"sarikaya,")]
+    produce = fracineq.harness._CHECKS["sarikaya"]
+    calls = []
+
+    def crashing(*args):
+        calls.append(args)
+        if len(calls) == 7:
+            raise RuntimeError("crash")
+        return produce(*args)
+
+    monkeypatch.setitem(fracineq.harness._CHECKS, "sarikaya", crashing)
+    out = tmp_path / "crashed.csv"
+    with pytest.raises(RuntimeError):
+        run_sweep(parse_sweep_config(SMALL_SWEEP_CFG), str(out))
+    # each sarikaya call of the small sweep writes one row, so the crash
+    # comes just before the seventh sarikaya row of the clean run
+    assert out.read_bytes() == b"".join(lines[:sarikaya_rows[6]])
 
 
 def test_sweep_skips_inadmissible_combinations(tmp_path):
@@ -429,6 +458,26 @@ def test_memo_never_shares_entries_between_same_named_fns():
     assert lhs[1] == pytest.approx(2.0 * lhs[0], rel=1e-9)
 
 
+def test_fn_triples_are_identity_keyed(monkeypatch):
+    # equal fields do not make two triples one function: each takes its
+    # own memo and admission-cache entries
+    exp = corpus_by_name()["exp"].fn
+    one, two = (FnTriple(f=exp.f, df=exp.df, ddf=exp.ddf, name="exp")
+                for _ in range(2))
+    assert one != two and one == one
+    monkeypatch.setattr(fracineq.amconvex, "_ADMISSION_CACHE", {})
+    p = Params(a=0.0, b=1.0, m=1.0, x=0.25, lam=0.5, kappa=1.0)
+    memo = {}
+    assert residual(p, one, memo) == residual(p, two, memo)
+    keys = [[key for key in memo if fn in key] for fn in (one, two)]
+    assert keys[0] and len(keys[0]) == len(keys[1])
+    assert not set(keys[0]) & set(keys[1])
+    for fn in (one, two):
+        fracineq.amconvex.is_admitted(fn, 1.0, 1.0, 1.0, 1.0)
+    assert [key[0] for key in fracineq.amconvex._ADMISSION_CACHE] \
+        == [one, two]
+
+
 # --- classical sanity suite ----------------------------------------------
 
 def test_sanity_classical_all_pass():
@@ -541,6 +590,20 @@ def test_cli_bad_paths_exit_2_without_a_traceback(tmp_path, capsys, case):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    if case == "config-not-utf8":
+        assert str(cfg) in err
+
+
+def test_cli_sweep_bad_out_fails_before_any_quadrature(tmp_path, capsys,
+                                                     monkeypatch):
+    rounds = []
+    gk15_round = fracineq.quad._gk15_round
+    monkeypatch.setattr(fracineq.quad, "_gk15_round",
+                        lambda live: rounds.append(live) or gk15_round(live))
+    assert main(["sweep", "--config", SMALL_SWEEP_CFG,
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert rounds == []
 
 
 def test_cli_admission_failure_exit_2(capsys):
