@@ -24,11 +24,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, check_unit_interval
 from .quad import _Evaluator
 
 DEFAULT_GRID = (41, 41, 33)
 VIOLATION_TOL = 1e-12
+# samples per x-row slab: each temporary stays under glibc's 128 KiB mmap threshold
+SLAB_SAMPLES = 12_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,38 +65,39 @@ class ConvexityReport:
 def check_am_convex(g: Callable, alpha: float, m: float,
                     domain: tuple = (0.0, 1.0),
                     grid: tuple = DEFAULT_GRID) -> ConvexityReport:
-    """Grid test of the defining inequality on domain = [0, B]."""
-    if not (0.0 <= alpha <= 1.0):
-        raise DomainError("alpha must lie in [0, 1], got %r" % (alpha,))
+    """Grid test of the defining inequality on domain = [0, B], in slabs of x-rows."""
+    check_unit_interval("alpha", alpha)
     if not (0.0 < m <= 1.0):
         raise DomainError("m must lie in (0, 1], got %r" % (m,))
     lo, hi = float(domain[0]), float(domain[1])
-    if lo != 0.0 or not hi > 0.0:
-        raise DomainError("domain must be [0, B] with B > 0, got %r" % (domain,))
+    if lo != 0.0 or not 0.0 < hi < np.inf:
+        raise DomainError("domain must be [0, B] with finite B > 0, got %r" % (domain,))
     nx, ny, nt = grid
+    if not all(isinstance(n, (int, np.integer)) and n > 0 for n in grid):
+        raise DomainError("grid counts must be positive integers, got %r" % (grid,))
     xs = np.linspace(lo, hi, nx)
     ys = np.linspace(lo, hi, ny)
     ts = np.linspace(0.0, 1.0, nt)
-
-    X = xs[:, None, None]
-    Y = ys[None, :, None]
-    T = ts[None, None, :]
-    arg = T * X + m * (1.0 - T) * Y
-    ev = _Evaluator(g)
-    g_arg, g_x, g_y = ev(arg), ev(xs), ev(ys)
-    if not (np.all(np.isfinite(g_arg)) and np.all(np.isfinite(g_x))
-            and np.all(np.isfinite(g_y))):
-        raise EvaluationError("g returned a non-finite value on the check grid")
-
     ta = ts ** alpha  # 0**0 == 1.0, matching the t^0 = 1 convention
-    bound = ta[None, None, :] * g_x[:, None, None] \
-        + m * (1.0 - ta)[None, None, :] * g_y[None, :, None]
-    viol = g_arg - bound
-    idx = np.unravel_index(np.argmax(viol), viol.shape)
-    worst = (float(xs[idx[0]]), float(ys[idx[1]]), float(ts[idx[2]]))
-    return ConvexityReport(alpha=alpha, m=m,
-                           max_violation=float(viol[idx]),
-                           worst_point=worst,
+    my_t = m * (1.0 - ts) * ys[:, None]
+    rows = max(1, SLAB_SAMPLES // (ny * nt))
+    ev = _Evaluator(g)
+    best = None
+    for i in range(0, nx, rows):
+        g_arg = ev(ts * xs[i:i + rows, None, None] + my_t)
+        if i == 0:  # after the first slab, which sets ev's vector choice
+            g_x, g_y = ev(xs), ev(ys)
+            finite = np.isfinite(g_x).all() and np.isfinite(g_y).all()
+            mg_y = m * (1.0 - ta) * g_y[:, None]
+        if not (finite and np.isfinite(g_arg).all()):
+            raise EvaluationError("g returned a non-finite value on the check grid")
+        viol = g_arg - (ta * g_x[i:i + rows, None, None] + mg_y)
+        k = viol.argmax()
+        if best is None or viol.flat[k] > best:  # keeps the first maximum
+            best, at = viol.flat[k], i * ny * nt + k
+    ix, iy, it = np.unravel_index(at, (nx, ny, nt))
+    return ConvexityReport(alpha=alpha, m=m, max_violation=float(best),
+                           worst_point=(float(xs[ix]), float(ys[iy]), float(ts[it])),
                            samples=nx * ny * nt)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amconvex import FnTriple, is_admitted
-from .errors import AdmissionError, DomainError
+from .errors import AdmissionError, DomainError, check_unit_interval
 from .identity import Params, direct_with_budget, memoized, memoized_integrals
 from .quad import Tolerance
 from .specfun import beta, beta_inc, hyp2f1
@@ -49,13 +49,7 @@ _LHS_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_subdiv=2000)
 def _check_kl(kappa: float, lam: float) -> None:
     if not (kappa > 0.0 and math.isfinite(kappa)):
         raise DomainError("kappa must be > 0, got %r" % (kappa,))
-    if not (0.0 <= lam <= 1.0):
-        raise DomainError("lambda must lie in [0, 1], got %r" % (lam,))
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 <= alpha <= 1.0):
-        raise DomainError("alpha must lie in [0, 1], got %r" % (alpha,))
+    check_unit_interval("lambda", lam)
 
 
 # --- closed forms ----------------------------------------------------------
@@ -93,7 +87,7 @@ def _phi2_above(kappa, lam, alpha):
 
 def phi2(kappa: float, lam: float, alpha: float) -> float:
     _check_kl(kappa, lam)
-    _check_alpha(alpha)
+    check_unit_interval("alpha", alpha)
     if lam <= 1.0 / (kappa + 1.0):
         return _phi2_below(kappa, lam, alpha)
     return _phi2_above(kappa, lam, alpha)
@@ -116,7 +110,7 @@ def _phi3_above(kappa, lam, alpha, const_num):
 
 def _phi3(kappa, lam, alpha, const_num):
     _check_kl(kappa, lam)
-    _check_alpha(alpha)
+    check_unit_interval("alpha", alpha)
     if lam <= 1.0 / (kappa + 1.0):
         return _phi3_below(kappa, lam, alpha, const_num)
     return _phi3_above(kappa, lam, alpha, const_num)
@@ -241,7 +235,7 @@ def _oracle_spec(key: tuple) -> tuple:
     _check_kl(kappa, lam)
     _check_which(which, alpha, p)
     if which in (2, 3):
-        _check_alpha(alpha)
+        check_unit_interval("alpha", alpha)
     if which == 4:
         _check_p(p)
 
@@ -416,8 +410,7 @@ def _thm22(p, fn, memo):
 
 def _check_classical(fn: FnTriple, a: float, b: float, lam: float,
                      q: float) -> None:
-    if not (0.0 <= lam <= 1.0):
-        raise DomainError("lambda must lie in [0, 1], got %r" % (lam,))
+    check_unit_interval("lambda", lam)
     if not q >= 1.0:
         raise DomainError("q must be >= 1, got %r" % (q,))
     if not (0.0 <= a < b):

@@ -10,6 +10,11 @@ class DomainError(ValueError):
     """Argument outside the documented domain of an operation."""
 
 
+def check_unit_interval(name: str, value: float) -> None:
+    if not (0.0 <= value <= 1.0):
+        raise DomainError("%s must lie in [0, 1], got %r" % (name, value))
+
+
 class EvaluationError(RuntimeError):
     """An integrand returned a non-finite value.
 

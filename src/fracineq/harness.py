@@ -438,13 +438,14 @@ def remark_comparison_table(a: float = 0.0, b: float = 1.0) -> list:
     return rows
 
 
-def write_remark_table(rows: list, out_path: str) -> None:
-    cols = ("fn", "lambda", "q", "lhs", "remark_rhs", "sarikaya_rhs",
-            "remark_holds", "sarikaya_holds", "remark_leq_sarikaya")
+def write_remark_table(out_path: str) -> list:
+    """Open out_path, then compute the table into it; returns its rows."""
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        writer.writerows([r[c] for c in cols] for r in rows)
+        rows = remark_comparison_table()
+        writer = csv.DictWriter(fh, rows[0])
+        writer.writeheader()
+        writer.writerows(rows)
+    return rows
 
 
 # --- CLI -------------------------------------------------------------------
@@ -581,9 +582,8 @@ def _cmd_sanity(_args) -> int:
 
 
 def _cmd_remark_table(args) -> int:
-    rows = remark_comparison_table()
+    rows = write_remark_table(args.out) if args.out else remark_comparison_table()
     if args.out:
-        write_remark_table(rows, args.out)
         print("wrote %s (%d rows)" % (args.out, len(rows)))
     better = sum(r["remark_leq_sarikaya"] == "true" for r in rows)
     all_hold = all(r["remark_holds"] == "true"

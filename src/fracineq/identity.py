@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amconvex import FnTriple
-from .errors import DomainError
+from .errors import DomainError, check_unit_interval
 from .fracint import rl_job
 from .quad import QuadResult, Tolerance, integrate_batch
 from .specfun import gamma
@@ -74,12 +74,10 @@ class Params:
         if not (self.a <= self.x <= self.m * self.b):
             raise DomainError("need a <= x <= m*b, got x=%r with a=%r, m*b=%r"
                               % (self.x, self.a, self.m * self.b))
-        if not (0.0 <= self.lam <= 1.0):
-            raise DomainError("lambda must lie in [0, 1], got %r" % (self.lam,))
+        check_unit_interval("lambda", self.lam)
         if not self.kappa > 0.0:
             raise DomainError("kappa must be > 0, got %r" % (self.kappa,))
-        if not (0.0 <= self.alpha <= 1.0):
-            raise DomainError("alpha must lie in [0, 1], got %r" % (self.alpha,))
+        check_unit_interval("alpha", self.alpha)
         if not self.q >= 1.0:
             raise DomainError("q must be >= 1, got %r" % (self.q,))
 

@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
 
 import numpy as np
 import pytest
 
+import fracineq
 from fracineq import AdmissionError, DomainError, EvaluationError, FnTriple
-from fracineq import check_am_convex, corpus, corpus_by_name
-from fracineq.amconvex import is_admitted
+from fracineq import amconvex, check_am_convex, corpus, corpus_by_name
+from fracineq.amconvex import DEFAULT_GRID, is_admitted
 
-from conftest import validate_derivatives
+from conftest import reference_am_convex, validate_derivatives
 
 
 def test_corpus_has_six_members_with_claims():
@@ -87,6 +93,22 @@ def test_domain_validation():
         check_am_convex(np.exp, 1.0, 1.0, domain=(0.5, 1.0))  # must start at 0
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"domain": (0.0, math.inf)},
+    {"domain": (0.0, math.nan)},
+    {"grid": (0, 41, 33)},          # no sample, so no maximum
+    {"grid": (41, -3, 33)},
+    {"grid": (2.5, 41, 33)},
+    {"grid": (41, 41, 33.0)},
+], ids=["B-inf", "B-nan", "nx-0", "ny-negative", "nx-float", "nt-float"])
+def test_bad_grid_or_width_is_a_domain_error(kwargs):
+    # rejected before any numpy work, so no RuntimeWarning either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            check_am_convex(np.exp, 1.0, 1.0, **kwargs)
+
+
 def test_non_finite_samples_reported():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(EvaluationError):
@@ -137,3 +159,117 @@ def test_admission_error_carries_report():
     assert exc.value.report is not None
     assert not exc.value.report.holds
     assert "exp" in str(exc.value)
+
+
+# --- the slab loop against the whole-grid reference -------------------------
+
+_PINNED_REJECTIONS = (
+    (np.sqrt, 0.5, 1.0),
+    (lambda u: np.asarray(u) ** 2, 0.5, 1.0),
+    (np.exp, 1.0, 0.6),
+    (lambda u: np.ones_like(np.asarray(u, dtype=float)), 1.0, 0.5),
+)
+
+
+def _admission_cases():
+    """(g, alpha, m) of every corpus claim, then the pinned rejections."""
+    cases = [(lambda u, ddf=e.fn.ddf, q=q: np.abs(ddf(u)) ** q, alpha, m)
+             for e in corpus() for alpha, m, q in e.admissions]
+    return cases + list(_PINNED_REJECTIONS)
+
+
+def _assert_matches_reference(g, alpha, m, domain=(0.0, 1.0),
+                              grid=DEFAULT_GRID):
+    got = check_am_convex(g, alpha, m, domain, grid)
+    want = reference_am_convex(g, alpha, m, domain, grid)
+    assert got.max_violation == want.max_violation, (alpha, m, domain, grid)
+    assert got.worst_point == want.worst_point, (alpha, m, domain, grid)
+    assert got.samples == want.samples
+    return got
+
+
+@pytest.mark.parametrize("width", (1.0, 0.8, 0.6180339887498949, 0.25))
+def test_slab_loop_matches_the_whole_grid_on_every_admission_case(width):
+    cases = _admission_cases()
+    assert len(cases) == 19
+    for g, alpha, m in cases:
+        _assert_matches_reference(g, alpha, m, (0.0, width))
+
+
+@pytest.mark.parametrize("slab_rows", (1, 2, 3, 40))
+def test_slab_loop_matches_the_whole_grid_for_any_slab_size(monkeypatch,
+                                                            slab_rows):
+    monkeypatch.setattr(amconvex, "SLAB_SAMPLES", slab_rows * 41 * 33)
+    for g, alpha, m in _admission_cases():
+        _assert_matches_reference(g, alpha, m, (0.0, 0.7))
+
+
+def test_slab_loop_keeps_the_t_power_zero_convention():
+    for g in (np.sqrt, np.exp, lambda u: np.asarray(u) ** 2):
+        for m in (0.5, 1.0):
+            _assert_matches_reference(g, 0.0, m)
+
+
+def test_slab_loop_keeps_the_first_of_tied_maxima():
+    # g == 1 at m = 0.5 peaks at 0.5 on the whole t = 0 face, in every slab
+    one = lambda u: np.ones_like(np.asarray(u, dtype=float))
+    r = _assert_matches_reference(one, 1.0, 0.5)
+    assert r.max_violation == 0.5 and r.worst_point == (0.0, 0.0, 0.0)
+    assert _assert_matches_reference(one, 0.3, 0.8).worst_point == (0.0, 0.0, 0.0)
+
+
+def test_slab_loop_matches_the_whole_grid_on_the_scalar_fallback(monkeypatch):
+    monkeypatch.setattr(amconvex, "SLAB_SAMPLES", 2 * 9 * 9)   # five slabs
+    g = lambda u: math.exp(u) - 3.0 * u
+    for alpha, m in ((1.0, 1.0), (0.5, 0.7), (0.0, 1.0)):
+        _assert_matches_reference(g, alpha, m, (0.0, 2.0), grid=(9, 9, 9))
+
+
+@pytest.mark.parametrize("grid", [
+    (17, 41, 33),       # 8-row slabs: 8, 8, 1
+    (1, 41, 33),
+    (4, 120, 101),      # one x-row is more than a slab: one row per slab
+])
+def test_slab_loop_matches_the_whole_grid_on_other_grids(grid):
+    for g, alpha, m in _admission_cases():
+        _assert_matches_reference(g, alpha, m, (0.0, 0.9), grid)
+
+
+def test_non_finite_value_in_the_last_x_row_is_reported():
+    # finite at every x and y node and in every x-row but the last
+    # (x = 1): there t = 31/32, y = 1 gives arg = 0.984375 at m = 0.5
+    g = lambda u: np.where((u > 0.98) & (u < 1.0), np.inf, u)
+    with pytest.raises(EvaluationError) as want:
+        reference_am_convex(g, 1.0, 0.5)
+    with pytest.raises(EvaluationError) as got:
+        check_am_convex(g, 1.0, 0.5)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults with getrusage")
+def test_default_grid_checks_make_no_page_faults_after_warm_up():
+    # every temporary of a slab stays under glibc's mmap threshold, so the
+    # checks reuse heap pages; whole-grid temporaries cost ~400 faults each
+    script = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from fracineq import check_am_convex, corpus_by_name
+        ddf = corpus_by_name()["pow-2.5"].fn.ddf
+        checks = [(lambda u: np.abs(ddf(u)) ** 4.0, 0.5, 0.5),
+                  (np.sqrt, 0.5, 1.0), (np.exp, 1.0, 1.0)]
+        def run(n):
+            for i in range(n):
+                g, alpha, m = checks[i % len(checks)]
+                check_am_convex(g, alpha, m, (0.0, 0.8))
+        run(3)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run(20)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracineq.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    faults = int(out.stdout)
+    assert faults <= 10 * 20, "%d minor page faults in 20 checks" % faults

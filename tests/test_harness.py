@@ -515,11 +515,11 @@ def test_remark_table_reuses_cached_admissions(monkeypatch):
 
 
 def test_remark_table_reports_not_asserts_the_comparison(tmp_path):
-    rows = remark_comparison_table()
+    out = str(tmp_path / "remark.csv")
+    rows = write_remark_table(out)
+    assert rows == remark_comparison_table()
     # the comparison column exists and is measured...
     assert {r["remark_leq_sarikaya"] for r in rows} <= {"true", "false"}
-    out = str(tmp_path / "remark.csv")
-    write_remark_table(rows, out)
     with open(out, newline="") as fh:
         parsed = list(csv.DictReader(fh))
     assert len(parsed) == 66
@@ -604,6 +604,17 @@ def test_cli_sweep_bad_out_fails_before_any_quadrature(tmp_path, capsys,
                  "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert rounds == []
+
+
+def test_cli_remark_table_bad_out_fails_before_any_bound(tmp_path, capsys,
+                                                         monkeypatch):
+    calls = []
+    remark_bound = fracineq.bounds.remark_bound
+    monkeypatch.setattr(fracineq.bounds, "remark_bound",
+                        lambda *a, **kw: calls.append(a) or remark_bound(*a, **kw))
+    assert main(["remark-table", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
 
 
 def test_cli_admission_failure_exit_2(capsys):
