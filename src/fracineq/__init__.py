@@ -12,8 +12,7 @@ from .amconvex import (ConvexityReport, CorpusEntry, FnTriple,
                        check_am_convex, corpus, corpus_by_name)
 from .bounds import (BoundReport, CorollaryReport, bound_sarikaya,
                      bound_thm211, bound_thm22, corollary_check, phi, phi1,
-                     phi2, phi3, phi3_literal, phi4, phi4_literal, phi_oracle,
-                     remark_bound)
+                     phi2, phi3, phi4, phi_oracle, remark_bound)
 from .errors import (AdmissionError, ConvergenceError, DomainError,
                      EvaluationError)
 from .fracint import rl_left, rl_right
@@ -31,6 +30,6 @@ __all__ = [
     "bound_thm211", "bound_thm22", "check_am_convex", "corollary_check",
     "corpus", "corpus_by_name", "direct_side", "gamma", "hyp2f1",
     "integrate", "integrate_singular", "kernel_side", "phi", "phi1", "phi2",
-    "phi3", "phi3_literal", "phi4", "phi4_literal", "phi_oracle", "remark_bound",
-    "residual", "rl_left", "rl_right",
+    "phi3", "phi4", "phi_oracle", "remark_bound", "residual", "rl_left",
+    "rl_right",
 ]

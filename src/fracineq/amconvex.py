@@ -46,7 +46,6 @@ class FnTriple:
     df: Callable
     ddf: Callable
     name: str
-    domain_hint: tuple = (0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -69,11 +68,14 @@ def check_am_convex(g: Callable, alpha: float, m: float,
     check_unit_interval("alpha", alpha)
     if not (0.0 < m <= 1.0):
         raise DomainError("m must lie in (0, 1], got %r" % (m,))
-    lo, hi = float(domain[0]), float(domain[1])
+    try:
+        lo, hi = map(float, domain)
+        nx, ny, nt = grid
+    except (TypeError, ValueError):     # a wrong shape, or a bound that is no number
+        raise DomainError("bad domain or grid shape: %r, %r" % (domain, grid)) from None
     if lo != 0.0 or not 0.0 < hi < np.inf:
         raise DomainError("domain must be [0, B] with finite B > 0, got %r" % (domain,))
-    nx, ny, nt = grid
-    if not all(isinstance(n, (int, np.integer)) and n > 0 for n in grid):
+    if not all(isinstance(n, (int, np.integer)) and n > 0 for n in (nx, ny, nt)):
         raise DomainError("grid counts must be positive integers, got %r" % (grid,))
     xs = np.linspace(lo, hi, nx)
     ys = np.linspace(lo, hi, ny)

@@ -19,11 +19,11 @@ literal version fails phi3(k, lam, 0) = 0, breaks phi1 = phi2 + phi3,
 and disagrees with the oracle whenever alpha != k).  The circulated
 phi4 middle branch omits a 1/k factor on its 2F1 term, invisible at
 k = 1 but off by exactly that factor otherwise.  phi3() and phi4()
-are the corrected forms; phi3_literal() and phi4_literal() keep the
-uncorrected versions so the discrepancies stay visible.  Corollary
-transcriptions that inherited the phi3 constant are flagged by
-corollary_check, never patched silently: the general bound is always
-the authoritative value.
+are the corrected forms; tests/conftest.py keeps the uncorrected ones
+(phi3_literal, phi4_literal) so the discrepancies stay visible.
+Corollary transcriptions that inherited the phi3 constant are flagged
+by corollary_check, never patched silently: the general bound is
+always the authoritative value.
 """
 
 from __future__ import annotations
@@ -93,41 +93,28 @@ def phi2(kappa: float, lam: float, alpha: float) -> float:
     return _phi2_above(kappa, lam, alpha)
 
 
-def _phi3_below(kappa, lam, alpha, const_num):
+def _phi3_below(kappa, lam, alpha):
     c = (kappa + 1.0) * lam
     s = kappa + alpha + 2.0
     return kappa * c ** ((kappa + 2.0) / kappa) / (kappa + 2.0) \
         - 2.0 * kappa * c ** (s / kappa) / ((alpha + 2.0) * s) \
         - alpha * c / (2.0 * (alpha + 2.0)) \
-        + const_num / ((kappa + 2.0) * s)
+        + alpha / ((kappa + 2.0) * s)
 
 
-def _phi3_above(kappa, lam, alpha, const_num):
+def _phi3_above(kappa, lam, alpha):
     c = (kappa + 1.0) * lam
     return alpha * c / (2.0 * (alpha + 2.0)) \
-        - const_num / ((kappa + 2.0) * (kappa + alpha + 2.0))
-
-
-def _phi3(kappa, lam, alpha, const_num):
-    _check_kl(kappa, lam)
-    check_unit_interval("alpha", alpha)
-    if lam <= 1.0 / (kappa + 1.0):
-        return _phi3_below(kappa, lam, alpha, const_num)
-    return _phi3_above(kappa, lam, alpha, const_num)
+        - alpha / ((kappa + 2.0) * (kappa + alpha + 2.0))
 
 
 def phi3(kappa: float, lam: float, alpha: float) -> float:
     """Corrected closed form (constant-term numerator alpha)."""
-    return _phi3(kappa, lam, alpha, alpha)
-
-
-def phi3_literal(kappa: float, lam: float, alpha: float) -> float:
-    """Uncorrected closed form (constant-term numerator kappa).
-
-    Kept for adjudication: coincides with phi3 iff alpha == kappa, is
-    negative at alpha = 0, and fails the oracle otherwise.
-    """
-    return _phi3(kappa, lam, alpha, kappa)
+    _check_kl(kappa, lam)
+    check_unit_interval("alpha", alpha)
+    if lam <= 1.0 / (kappa + 1.0):
+        return _phi3_below(kappa, lam, alpha)
+    return _phi3_above(kappa, lam, alpha)
 
 
 def _check_p(p: float) -> None:
@@ -135,14 +122,12 @@ def _check_p(p: float) -> None:
         raise DomainError("phi4 requires p > 1, got %r" % (p,))
 
 
-def _phi4_mid(kappa, lam, p, second_scale=None):
+def _phi4_mid(kappa, lam, p):
     # 0 < c <= 1; at c == 1 the second term vanishes and 2F1(..; 0) = 1
     c = (kappa + 1.0) * lam
     expo = (1.0 + (kappa + 1.0) * p) / kappa
     first = c ** expo / kappa * beta((1.0 + p) / kappa, 1.0 + p)
-    if second_scale is None:
-        second_scale = 1.0 / kappa
-    second = second_scale * (1.0 - c) ** (p + 1.0) / (p + 1.0) \
+    second = 1.0 / kappa * (1.0 - c) ** (p + 1.0) / (p + 1.0) \
         * hyp2f1(1.0 - (1.0 + p) / kappa, 1.0, p + 2.0, 1.0 - c)
     return first + second
 
@@ -155,32 +140,15 @@ def _phi4_upper(kappa, lam, p):
     return c ** ((p * (kappa + 1.0) + 1.0) / kappa) / kappa * inc
 
 
-def _phi4(kappa, lam, p, second_scale=None):
+def phi4(kappa: float, lam: float, p: float) -> float:
+    """Corrected closed form (1/kappa on the middle-branch 2F1 term)."""
     _check_kl(kappa, lam)
     _check_p(p)
     if lam == 0.0:
         return 1.0 / (p * (kappa + 1.0) + 1.0)
     if lam < 1.0 / (kappa + 1.0):
-        return _phi4_mid(kappa, lam, p, second_scale)
+        return _phi4_mid(kappa, lam, p)
     return _phi4_upper(kappa, lam, p)
-
-
-def phi4(kappa: float, lam: float, p: float) -> float:
-    """Corrected closed form (1/kappa on the middle-branch 2F1 term)."""
-    return _phi4(kappa, lam, p)
-
-
-def phi4_literal(kappa: float, lam: float, p: float) -> float:
-    """Uncorrected middle branch (no 1/kappa on the 2F1 term).
-
-    Kept for adjudication: substituting s = c + (1-c)w into the
-    post-kink piece of the defining integral produces
-    (1-c)^(p+1) / (kappa (p+1)) 2F1(...), so the circulated form is
-    too large by the factor 1/kappa for kappa < 1 (too small for
-    kappa > 1) whenever the kink is interior.  Coincides with phi4
-    at kappa = 1 and on the other two branches.
-    """
-    return _phi4(kappa, lam, p, second_scale=1.0)
 
 
 # --- quadrature oracle -----------------------------------------------------
@@ -348,11 +316,17 @@ def _holder_inner(p: Params, fn: FnTriple) -> tuple[float, float]:
     return ia ** (1.0 / q), ib ** (1.0 / q)
 
 
-def _power_mean_moments(p: Params, memo: dict | None) -> tuple:
-    """phi1, phi2 and phi3 at p, each once per sweep with a memo."""
-    return (phi(1, p.kappa, p.lam, memo=memo),
-            phi(2, p.kappa, p.lam, alpha=p.alpha, memo=memo),
-            phi(3, p.kappa, p.lam, alpha=p.alpha, memo=memo))
+def _power_mean_terms(p: Params, fn: FnTriple, memo: dict | None) -> tuple:
+    """phi1^(1-1/q) and the a- and b-side phi2/phi3 mixes ^(1/q) at p."""
+    f1 = phi(1, p.kappa, p.lam, memo=memo)
+    f2 = phi(2, p.kappa, p.lam, alpha=p.alpha, memo=memo)
+    f3 = phi(3, p.kappa, p.lam, alpha=p.alpha, memo=memo)
+    d2x, d2a, d2b = _second_derivs(p, fn)
+    q = p.q
+    ia = d2x ** q * f2 + p.m * d2a ** q * f3
+    ib = d2x ** q * f2 + p.m * d2b ** q * f3
+    pref = f1 ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
+    return pref, ia ** (1.0 / q), ib ** (1.0 / q)
 
 
 def _theorem_lhs(p: Params, fn: FnTriple, memo: dict | None) -> float:
@@ -373,14 +347,9 @@ def bound_thm211(p: Params, fn: FnTriple,
 
 def _thm211(p, fn, memo):
     lhs = _theorem_lhs(p, fn, memo)
-    f1, f2, f3 = _power_mean_moments(p, memo)
-    d2x, d2a, d2b = _second_derivs(p, fn)
-    q = p.q
-    inner_a = d2x ** q * f2 + p.m * d2a ** q * f3
-    inner_b = d2x ** q * f2 + p.m * d2b ** q * f3
+    pref, ga, gb = _power_mean_terms(p, fn, memo)
     c1, c2 = _coefs(p)
-    pref = f1 ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
-    rhs = pref * (c1 * inner_a ** (1.0 / q) + c2 * inner_b ** (1.0 / q))
+    rhs = pref * (c1 * ga + c2 * gb)
     return _report("thm211", lhs, rhs)
 
 
@@ -558,13 +527,8 @@ def _printed_2a_a(p: Params, fn: FnTriple, memo: dict | None) -> float:
 
 def _printed_midpoint_pm(p: Params, fn: FnTriple, memo: dict | None) -> float:
     # the symbol-referencing midpoint form shared by several corollaries
-    w, k, q = p.width, p.kappa, p.q
-    f1, f2, f3 = _power_mean_moments(p, memo)
-    d2x, d2a, d2b = _second_derivs(p, fn)
-    pref = w ** 2 / (8.0 * (k + 1.0)) * (f1 ** (1.0 - 1.0 / q) if q > 1.0 else 1.0)
-    ia = d2x ** q * f2 + p.m * d2a ** q * f3
-    ib = d2x ** q * f2 + p.m * d2b ** q * f3
-    return pref * (ia ** (1.0 / q) + ib ** (1.0 / q))
+    pref, ga, gb = _power_mean_terms(p, fn, memo)
+    return p.width ** 2 / (8.0 * (p.kappa + 1.0)) * pref * (ga + gb)
 
 
 def _printed_2a_d(p: Params, fn: FnTriple, memo: dict | None) -> float:
@@ -680,9 +644,6 @@ class _CorollarySpec:
     note: str
 
 
-COROLLARY_IDS = ("2a-a", "2a-b", "2a-c", "2a-d", "2a-e", "2a-f", "2a-g",
-                 "2a-h", "2b-a", "2b-b", "2b-c", "2b-d", "2b-e", "2b-g")
-
 _COROLLARIES = {
     "2a-a": _CorollarySpec(
         "pm", _printed_2a_a, False, None, None, "one", True,
@@ -738,6 +699,7 @@ _COROLLARIES = {
         "hoelder", _printed_2b_g, True, 1.0, 1.0, "gt1", False,
         "lambda = k = 1 Hoelder form; matches the general bound exactly"),
 }
+COROLLARY_IDS = tuple(_COROLLARIES)
 
 
 def corollary_unmet(cid: str, p: Params) -> str | None:

@@ -20,7 +20,7 @@ import csv
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import bounds
@@ -106,19 +106,10 @@ def parse_sweep_config(path: str) -> SweepConfig:
             raw.setdefault(key, []).append(value)
         else:
             raise DomainError("%s:%d: unknown key %r" % (path, lineno, key))
-    d = DEFAULT_CONFIG
-    return SweepConfig(
-        a=tuple(raw.get("a", d.a)),
-        b=tuple(raw.get("b", d.b)),
-        m=tuple(raw.get("m", d.m)),
-        x=tuple(raw.get("x", d.x)),
-        lam=tuple(raw.get("lambda", d.lam)),
-        kappa=tuple(raw.get("kappa", d.kappa)),
-        alpha=tuple(raw.get("alpha", d.alpha)),
-        q=tuple(raw.get("q", d.q)),
-        fns=tuple(raw.get("fn", d.fns)),
-        checks=tuple(raw.get("check", d.checks)),
-    )
+    # each key given replaces its field of DEFAULT_CONFIG
+    fields = {"lambda": "lam", "fn": "fns", "check": "checks"}
+    return replace(DEFAULT_CONFIG,
+                   **{fields.get(key, key): tuple(v) for key, v in raw.items()})
 
 
 @dataclass(frozen=True)
@@ -179,6 +170,21 @@ def _bound_rows(rep):
     return [(rep.which, rep.lhs, rep.rhs, rep.holds, rep.tightness, 0.0)]
 
 
+def _classical(check, name):
+    """check's producer: the row of bounds.<name>(fn, a, b, lambda, q), or []
+    for a domain or admission skip, computed once per distinct input."""
+    def rows(pt, _prm, fn, memo):
+        args = (fn, pt[0], pt[1], pt[4], pt[7])
+
+        def compute():
+            try:
+                return _bound_rows(getattr(bounds, name)(*args, memo=memo))
+            except (DomainError, AdmissionError):
+                return []
+        return memoized(memo, (check,) + args, compute)
+    return rows
+
+
 def _corollary_rows(prm, fn, memo):
     # which ids apply reads only the Params, not the function
     ids = memoized(memo, ("corollary-ids", prm),
@@ -230,10 +236,8 @@ _CHECKS = {
         bounds.bound_thm211(prm, fn, memo=memo))),
     "thm22": _on_params(lambda prm, fn, memo: _bound_rows(
         bounds.bound_thm22(prm, fn, memo=memo))),
-    "sarikaya": lambda pt, _prm, fn, memo: _bound_rows(
-        bounds.bound_sarikaya(fn, pt[0], pt[1], pt[4], pt[7], memo=memo)),
-    "remark": lambda pt, _prm, fn, memo: _bound_rows(
-        bounds.remark_bound(fn, pt[0], pt[1], pt[4], pt[7], memo=memo)),
+    "sarikaya": _classical("sarikaya", "bound_sarikaya"),
+    "remark": _classical("remark", "remark_bound"),
     "corollaries": _on_params(_corollary_rows),
 }
 _SWEEP_CHECKS = tuple(_CHECKS) + ("phi-oracle",)
@@ -279,9 +283,10 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
     one-sided RL integral and each kernel half, the direct and kernel
     sides and residual of each identity point (fn, a, b, m, x, lambda,
     kappa), each thm211/thm22 report, each phi moment and its oracle,
-    the ids of the corollaries that apply at each Params, and the Simpson
-    average per (fn, a, b).  Most integrals run in lockstep batches (see
-    _grid); none of this changes a bit of any row.
+    the ids of the corollaries that apply at each Params, the Simpson
+    average per (fn, a, b), and each sarikaya and remark row (or skip)
+    per (fn, a, b, lambda, q).  Most integrals run in lockstep batches
+    (see _grid); none of this changes a bit of any row.
 
     out_path is opened before any work, and each row is written as it is
     produced: a bad path fails first, and a crash keeps the rows before it.
@@ -450,10 +455,8 @@ def write_remark_table(out_path: str) -> list:
 
 # --- CLI -------------------------------------------------------------------
 
-def _add_param_args(sp, need_fn=True):
-    if need_fn:
-        sp.add_argument("--fn", required=True,
-                        choices=sorted(corpus_by_name()))
+def _add_param_args(sp):
+    sp.add_argument("--fn", required=True, choices=sorted(corpus_by_name()))
     sp.add_argument("--a", type=float, default=0.0)
     sp.add_argument("--b", type=float, default=1.0)
     sp.add_argument("--m", type=float, default=1.0)

@@ -8,7 +8,8 @@ integrate_batch runs that loop for many integrals in lockstep: each
 round, every unfinished integral bisects its own worst interval, and the
 rule sums of all new intervals are taken in one (rows, 15) numpy block.
 Each integral keeps its own worst-first order, so batching changes no
-bit of any result; integrate is a batch of one.
+bit of any result; integrate is a batch of one.  A job whose integrand
+returns numpy arrays also samples its likely next splits (LOOKAHEAD).
 
 integrate_singular handles integrands with an explicit endpoint weight
 (t - lo)^p_lo (hi - t)^p_hi, p > -1, by the power substitution
@@ -31,6 +32,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, EvaluationError
 
 _EPS = float(np.finfo(float).eps)
+LOOKAHEAD = 3   # levels down its bisection path a native job samples ahead
 
 # Kronrod-15 abscissae (positive half) and weights, Gauss-7 weights.
 # The embedded Gauss nodes are every second Kronrod node.
@@ -99,17 +101,20 @@ class _Evaluator:
     def __init__(self, f: Callable[[float], float]):
         self.f = f
         self.vectorized = None
+        self.native = False     # the vector path returned an np.ndarray
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         if self.vectorized is not False:
             try:
-                ys = np.asarray(self.f(xs), dtype=float)
+                raw = self.f(xs)
+                ys = np.asarray(raw, dtype=float)
                 if ys.shape == xs.shape:
                     self.vectorized = True
+                    self.native = isinstance(raw, np.ndarray)
                     return ys
             except (TypeError, ValueError, AttributeError, IndexError):
                 pass
-            self.vectorized = False
+            self.vectorized = self.native = False
         return np.array([float(self.f(float(x))) for x in xs.ravel()]
                         ).reshape(xs.shape)
 
@@ -124,7 +129,8 @@ def _check_interval(lo: float, hi: float) -> None:
 class _Job:
     """One integral's worst-first bisection state inside integrate_batch."""
 
-    __slots__ = ("slot", "ev", "todo", "split", "heap", "value", "err", "nsub")
+    __slots__ = ("slot", "ev", "todo", "split", "heap", "value", "err", "nsub",
+                 "ahead")
 
     def __init__(self, slot: int, f: Callable[[float], float], lo: float,
                  hi: float):
@@ -134,51 +140,83 @@ class _Job:
         self.split = None           # (value, error) of the interval bisected
         self.heap = []
         self.nsub = 0
+        self.ahead = {}             # (lo, hi) -> rule of a lookahead row
 
     def advance(self, rules: list, tol: Tolerance) -> QuadResult | None:
         """Take the (value, error) of each todo interval; pick the next split.
 
+        A native job's todo goes on with the halves of its next LOOKAHEAD
+        splits down the side its last split took, whose rules wait in ahead;
+        while both halves of the next split are there, it is bisected too.
         Returns the result once tolerance (or the round-off floor) is met,
-        None when todo holds the two halves of the next bisection.
+        None when todo holds the next split.
         """
+        todo = self.todo
+        if len(todo) > 2:
+            self.ahead.update(zip(todo[2:], rules[2:]))
+            todo, rules = todo[:2], rules[:2]
         if self.split is None:
-            ((lo, hi),), ((v, e),) = self.todo, rules
+            ((lo, hi),), ((v, e),) = todo, rules
             self.value, self.err = v, e
             worst = (-e, 0, lo, hi, v, e)
-        else:
-            ((a, mid), (_, b)), ((v1, e1), (v2, e2)) = self.todo, rules
-            v, e = self.split
-            self.value += (v1 + v2) - v
-            self.err += (e1 + e2) - e
-            self.nsub += 1
-            # tie-break counter: 1, 2, ... in push order, unique per heap
-            heapq.heappush(self.heap, (-e1, 2 * self.nsub - 1, a, mid, v1, e1))
-            worst = heapq.heappushpop(self.heap,
-                                      (-e2, 2 * self.nsub, mid, b, v2, e2))
-        if not math.isfinite(self.value + self.err):
-            self._check_rules(rules)
+        while True:
+            if self.split is not None:
+                ((a, mid), (_, b)), ((v1, e1), (v2, e2)) = todo, rules
+                v, e = self.split
+                self.value += (v1 + v2) - v
+                self.err += (e1 + e2) - e
+                self.nsub += 1
+                # tie-break counter: 1, 2, ... in push order, unique per heap
+                heapq.heappush(self.heap, (-e1, 2 * self.nsub - 1, a, mid, v1, e1))
+                worst = heapq.heappushpop(self.heap,
+                                          (-e2, 2 * self.nsub, mid, b, v2, e2))
+            if not math.isfinite(self.value + self.err):
+                self._check_rules(rules)
+            if not self.err > max(tol.abs_tol, tol.rel_tol * abs(self.value)):
+                return self._best()
+            if self.nsub >= tol.max_subdiv:
+                raise ConvergenceError(
+                    "no convergence after %d subdivisions "
+                    "(value=%.17g, error=%.3g)" % (self.nsub, self.value, self.err),
+                    estimate=self._best(),
+                )
+            _, _, a, b, v, e = worst
+            if e <= 0.1 * _EPS * abs(self.value):
+                # worst interval is already at round-off level; cannot improve
+                return self._best()
+            mid = 0.5 * (a + b)
+            if mid <= a or mid >= b:
+                raise ConvergenceError(
+                    "interval [%.17g, %.17g] cannot be split further" % (a, b),
+                    estimate=self._best(),
+                )
+            self.split = (v, e)
+            if not self.ev.native:
+                self.todo = ((a, mid), (mid, b))
+                return None
+            left = a == self.todo[0][0]     # the last split also began at a
+            self.todo = todo = ((a, mid), (mid, b))
+            if not (todo[0] in self.ahead and todo[1] in self.ahead):
+                for _ in range(LOOKAHEAD):
+                    a, b = (a, mid) if left else (mid, b)
+                    mid = 0.5 * (a + b)
+                    self.todo += ((a, mid), (mid, b))
+                return None
+            rules = [self.ahead.pop(iv) for iv in todo]
 
-        if not self.err > max(tol.abs_tol, tol.rel_tol * abs(self.value)):
-            return self._best()
-        if self.nsub >= tol.max_subdiv:
-            raise ConvergenceError(
-                "no convergence after %d subdivisions "
-                "(value=%.17g, error=%.3g)" % (self.nsub, self.value, self.err),
-                estimate=self._best(),
-            )
-        _, _, a, b, v, e = worst
-        if e <= 0.1 * _EPS * abs(self.value):
-            # worst interval is already at round-off level; cannot improve
-            return self._best()
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            raise ConvergenceError(
-                "interval [%.17g, %.17g] cannot be split further" % (a, b),
-                estimate=self._best(),
-            )
-        self.split = (v, e)
-        self.todo = ((a, mid), (mid, b))
-        return None
+    def sample(self, xs: np.ndarray) -> np.ndarray:
+        """The integrand at xs, the nodes of todo.  A lookahead call that raises
+        drops the lookahead (rows of 0) and samples the real rows through ev."""
+        if len(self.todo) > 2:
+            try:
+                ys = self.ev.f(xs)
+                if isinstance(ys, np.ndarray) and ys.shape == xs.shape:
+                    return np.asarray(ys, dtype=float)
+            except Exception:   # a lookahead node's failure is not the job's
+                pass
+            self.todo = self.todo[:2]   # the real rows: the first 30 nodes
+            return np.concatenate([self.ev(xs[:30]), np.zeros(len(xs) - 30)])
+        return self.ev(xs)
 
     def _check_rules(self, rules: list) -> None:
         """Raise ConvergenceError for the first non-finite rule of todo.
@@ -210,15 +248,11 @@ def _rule(resabs: float, resk: float, resg: float, resasc: float,
     return resk * half, err
 
 
-def _join(arrays: list) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 def _gk15_round(live: list) -> list:
     """One Gauss-Kronrod 7/15 pass over every todo interval of every job.
 
     The nodes of all todo intervals form one (rows, 15) block; each job
-    samples a 1-D view of its own rows in one integrand call.  The rule
+    samples a 1-D view of its own rows in one call (_Job.sample).  The rule
     sums of all rows are then taken together with vecdot, which reduces
     each row exactly as a 1-D dot product does (a matrix-vector product
     does not).  Returns, per job, its (value, error) pairs or the
@@ -236,42 +270,47 @@ def _gk15_round(live: list) -> list:
         xs.append(nodes[r:r + n].ravel())
         r += n
         try:
-            ys.append(job.ev(xs[-1]))
+            ys.append(job.sample(xs[-1]))
             out.append(None)
         except Exception as exc:    # the job's own failure, kept in its slot
             ys.append(np.zeros_like(xs[-1]))
             out.append(exc)
-    ys = _join(ys).reshape(-1, 15)
+    ys = (ys[0] if len(ys) == 1 else np.concatenate(ys)).reshape(-1, 15)
     absy = np.abs(ys)
     resabs = np.vecdot(absy, _WK15).tolist()
     # every Kronrod weight is positive, so any non-finite sample makes
     # resabs non-finite; only then are the samples looked at
     if not math.isfinite(sum(resabs)):
-        ys = _flag_bad_samples(xs, ys, out)
+        ys = _flag_bad_samples(live, xs, ys, out)
     sums = np.vecdot(ys[:, None, :], _WKG15)      # columns resk, resg
     np.abs(ys - 0.5 * sums[:, :1], out=absy)
     rules = list(map(_rule, resabs, *zip(*sums.tolist()),
                      np.vecdot(absy, _WK15).tolist(), half))
     r = 0
-    for j, x in enumerate(xs):
-        n = len(x) // 15
-        out[j] = out[j] or rules[r:r + n]
-        r += n
+    for j, (job, x) in enumerate(zip(live, xs)):
+        out[j] = out[j] or rules[r:r + len(job.todo)]
+        r += len(x) // 15
     return out
 
 
-def _flag_bad_samples(xs: list, ys: np.ndarray, out: list) -> np.ndarray:
+def _flag_bad_samples(live: list, xs: list, ys: np.ndarray, out: list) -> np.ndarray:
     """Put an EvaluationError in out for each job with a non-finite sample.
 
-    The error names the job's first such sample in node order.  Returns
-    a copy of ys with those jobs' rows zeroed, which keeps the block's
-    remaining sums quiet (ys may be an integrand's own array).
+    The error names the job's first such sample in node order; one in a
+    lookahead row only drops the job's lookahead rows, which then read 0.
+    Returns a copy of ys with those jobs' rows zeroed, which keeps the
+    block's remaining sums quiet (ys may be an integrand's own array).
     """
     ys = ys.copy()
     r = 0
-    for j, x in enumerate(xs):
+    for j, (job, x) in enumerate(zip(live, xs)):
         n = len(x) // 15
-        bad = x[~np.isfinite(ys[r:r + n].ravel())]
+        bad = ~np.isfinite(ys[r:r + n])
+        if out[j] is None and bad[2:].any():
+            job.todo = job.todo[:2]
+            ys[r + 2:r + n] = 0.0
+            bad[2:] = False
+        bad = x[bad.ravel()]
         if out[j] is None and bad.size:
             out[j] = EvaluationError(
                 "integrand returned a non-finite value at t=%.17g" % bad[0],
@@ -333,11 +372,6 @@ def _is_nonneg_integer(p: float) -> bool:
     return p >= 0.0 and abs(p - round(p)) < 1e-14
 
 
-def _substitution_order(p: float) -> int:
-    # k (p+1) - 1 >= 3 makes the transformed weight at least C^3 at v = 0
-    return max(2, math.ceil(4.0 / (p + 1.0)))
-
-
 def _one_sided(g, A: float, B: float, p: float, at_lower: bool) -> tuple:
     """The (h, lo, hi) job of g(t) * |t - endpoint|^p, weight anchored at A or B."""
     if _is_nonneg_integer(p):
@@ -347,7 +381,7 @@ def _one_sided(g, A: float, B: float, p: float, at_lower: bool) -> tuple:
         else:
             w = lambda t: g(t) * (B - t) ** n
         return w, A, B
-    k = _substitution_order(p)
+    k = max(2, math.ceil(4.0 / (p + 1.0)))  # k (p+1) - 1 >= 3: C^3 at v = 0
     vmax = (B - A) ** (1.0 / k)
     expo = k * (p + 1.0) - 1.0
     if at_lower:

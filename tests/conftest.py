@@ -1,10 +1,11 @@
 """Helpers shared by the test modules: the stock parameter grid, a
-finite-difference check of a corpus entry's derivatives, and the
-whole-grid admission check that the slab loop must match bit for bit."""
+finite-difference check of a corpus entry's derivatives, the whole-grid
+admission check that the slab loop must match bit for bit, and the
+uncorrected printed closed forms of phi3 and phi4 (the errata reference)."""
 
 import numpy as np
 
-from fracineq import FnTriple, Params
+from fracineq import FnTriple, Params, beta, hyp2f1, phi4
 from fracineq.amconvex import DEFAULT_GRID, ConvexityReport
 from fracineq.errors import EvaluationError
 from fracineq.quad import _Evaluator
@@ -32,7 +33,7 @@ def validate_derivatives(fn: FnTriple, n: int = 32, rel_tol: float = 1e-6) -> No
     Sample points avoid the domain edges where the power-law members
     have unbounded third derivatives.  Raises AssertionError on failure.
     """
-    lo, hi = fn.domain_hint
+    lo, hi = 0.0, 1.0
     span = hi - lo
     pts = np.linspace(lo + 0.05 * span, hi - 0.05 * span, n)
     h = 6e-6 * max(1.0, span)
@@ -86,3 +87,37 @@ def reference_am_convex(g, alpha: float, m: float, domain: tuple = (0.0, 1.0),
                            max_violation=float(viol[idx]),
                            worst_point=worst,
                            samples=nx * ny * nt)
+
+
+def phi3_literal(kappa: float, lam: float, alpha: float) -> float:
+    """phi3 as printed: constant-term numerator kappa where alpha belongs.
+
+    Coincides with phi3 iff alpha == kappa, is nonzero at alpha = 0, and
+    fails the oracle otherwise.  Valid arguments only.
+    """
+    c = (kappa + 1.0) * lam
+    s = kappa + alpha + 2.0
+    if lam <= 1.0 / (kappa + 1.0):
+        return kappa * c ** ((kappa + 2.0) / kappa) / (kappa + 2.0) \
+            - 2.0 * kappa * c ** (s / kappa) / ((alpha + 2.0) * s) \
+            - alpha * c / (2.0 * (alpha + 2.0)) \
+            + kappa / ((kappa + 2.0) * s)
+    return alpha * c / (2.0 * (alpha + 2.0)) - kappa / ((kappa + 2.0) * s)
+
+
+def phi4_literal(kappa: float, lam: float, p: float) -> float:
+    """phi4 as printed: no 1/kappa on the middle-branch 2F1 term.
+
+    Substituting s = c + (1-c)w into the post-kink piece of the defining
+    integral produces (1-c)^(p+1) / (kappa (p+1)) 2F1(...), so the
+    printed form is too large by the factor 1/kappa for kappa < 1 (too
+    small for kappa > 1) whenever the kink is interior.  Coincides with
+    phi4 at kappa = 1 and on the other two branches.  Valid arguments only.
+    """
+    if lam == 0.0 or lam >= 1.0 / (kappa + 1.0):
+        return phi4(kappa, lam, p)
+    c = (kappa + 1.0) * lam
+    expo = (1.0 + (kappa + 1.0) * p) / kappa
+    first = c ** expo / kappa * beta((1.0 + p) / kappa, 1.0 + p)
+    return first + (1.0 - c) ** (p + 1.0) / (p + 1.0) \
+        * hyp2f1(1.0 - (1.0 + p) / kappa, 1.0, p + 2.0, 1.0 - c)

@@ -83,8 +83,8 @@ def test_criterion_03_branch_continuity():
         for al in ALPHAS:
             worst = max(worst,
                         abs(_phi2_below(k, lam, al) - _phi2_above(k, lam, al)),
-                        abs(_phi3_below(k, lam, al, al)
-                            - _phi3_above(k, lam, al, al)))
+                        abs(_phi3_below(k, lam, al)
+                            - _phi3_above(k, lam, al)))
         for p in PS:
             worst = max(worst, abs(_phi4_mid(k, lam, p) - _phi4_upper(k, lam, p)))
     ok = worst <= 1e-12

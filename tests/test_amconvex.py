@@ -100,7 +100,15 @@ def test_domain_validation():
     {"grid": (41, -3, 33)},
     {"grid": (2.5, 41, 33)},
     {"grid": (41, 41, 33.0)},
-], ids=["B-inf", "B-nan", "nx-0", "ny-negative", "nx-float", "nt-float"])
+    {"grid": (41, 41)},
+    {"grid": 41},
+    {"domain": (0.0,)},
+    {"domain": (0.0, 0.5, 1.0)},
+    {"domain": ("0", "x")},
+    {"domain": 1.0},
+], ids=["B-inf", "B-nan", "nx-0", "ny-negative", "nx-float", "nt-float",
+        "grid-pair", "grid-scalar", "domain-one", "domain-three",
+        "domain-not-a-number", "domain-scalar"])
 def test_bad_grid_or_width_is_a_domain_error(kwargs):
     # rejected before any numpy work, so no RuntimeWarning either
     with warnings.catch_warnings():

@@ -1,9 +1,9 @@
 """Kernel moments phi1..phi4 against the quadrature oracle, and the two
 theorem bounds built on them.
 
-phi3 and phi4 each ship a *_literal twin preserving a defective printed
-form (wrong constant-term numerator; missing 1/kappa on the mid-branch
-2F1 term).  Tests pin both the corrected values and the size of the
+phi3 and phi4 each have a *_literal twin in conftest preserving a
+defective printed form (wrong constant-term numerator; missing 1/kappa
+on the mid-branch 2F1 term).  Tests pin both the corrected values and the size of the
 defect so neither can silently regress.
 """
 
@@ -16,12 +16,13 @@ import pytest
 from fracineq import (AdmissionError, DomainError, Params, beta, beta_inc,
                       bound_sarikaya, bound_thm211, bound_thm22,
                       corpus_by_name, direct_side, phi1, phi2, phi3,
-                      phi, phi3_literal, phi4, phi4_literal, phi_oracle,
-                      remark_bound)
+                      phi, phi4, phi_oracle, remark_bound)
 from fracineq.amconvex import FnTriple
 from fracineq.bounds import (_ORACLE_TOL, fill_phi_oracles, remark_phi1,
                              remark_phi2, remark_phi3)
 from fracineq.quad import integrate
+
+from conftest import phi3_literal, phi4_literal
 
 FNS = {k: v.fn for k, v in corpus_by_name().items()}
 
@@ -83,6 +84,25 @@ def test_phi4_literal_drops_the_kappa_scale():
     want = phi_oracle(4, k, lam, p=p)
     assert abs(got - want) > 0.2
     assert abs(phi4(k, lam, p) - want) <= 1e-12
+
+
+def test_criterion_02_oracles_fit_in_6000_engine_rounds(monkeypatch):
+    # the oracle integrals of acceptance criterion 2, counted as CI counts
+    # the sweep's: native integrands bisect through their lookahead rows,
+    # so most of the 13,166 splits need no round of their own (5,559;
+    # one round per split would be 13,962)
+    from test_acceptance import ALPHAS, KAPPAS_ORACLE, LAMS_ORACLE, PS
+    from test_quad import _count_rounds
+
+    seen = _count_rounds(monkeypatch)
+    for k, lam in itertools.product(KAPPAS_ORACLE, LAMS_ORACLE):
+        phi_oracle(1, k, lam)
+        for al in ALPHAS:
+            phi_oracle(2, k, lam, alpha=al)
+            phi_oracle(3, k, lam, alpha=al)
+        for p in PS:
+            phi_oracle(4, k, lam, p=p)
+    assert seen[0] <= 6000, "%d GK15 rounds, limit 6000" % seen[0]
 
 
 def _serial_oracle(which, kappa, lam, alpha=None, p=None):

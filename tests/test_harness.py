@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import csv
 import hashlib
 import math
@@ -352,6 +353,27 @@ def test_sweep_computes_each_theorem_report_once(tmp_path, monkeypatch):
     assert summary.rows_total == 250
     for name, calls in bodies.items():
         assert calls and set(calls.values()) == {1}, name
+
+
+def test_sweep_computes_each_classical_row_once(tmp_path, monkeypatch):
+    # sarikaya and remark read only (fn, a, b, lambda, q), which the small
+    # config's m and x axes repeat six times.  pow-2.25 is not admitted at
+    # q = 1 or 2, and that skip is stored as well: no call rebuilds its
+    # AdmissionError
+    calls = collections.Counter()
+    for name in ("bound_sarikaya", "remark_bound"):
+        def spy(fn, a, b, lam, q, memo=None, name=name,
+                original=getattr(fracineq.bounds, name)):
+            calls[(name, fn.name, a, b, lam, q)] += 1
+            return original(fn, a, b, lam, q, memo=memo)
+
+        monkeypatch.setattr(fracineq.bounds, name, spy)
+    cfg = dataclasses.replace(parse_sweep_config(SMALL_SWEEP_CFG),
+                              fns=("exp", "pow-2.25"),
+                              checks=("sarikaya", "remark"))
+    summary = run_sweep(cfg, str(tmp_path / "r.csv"))
+    assert (summary.rows_total, summary.skipped) == (48, 48)
+    assert len(calls) == 16 and set(calls.values()) == {1}
 
 
 def test_sweep_asks_which_corollaries_apply_once_per_params(tmp_path,

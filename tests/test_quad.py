@@ -206,15 +206,35 @@ def _serial_reference(f, lo, hi, tol):
     return QuadResult(value, err, nsub)
 
 
-def test_batch_matches_the_serial_loop_bit_for_bit():
+def _count_rounds(monkeypatch):
+    """Wrap quad._gk15_round: the returned [rounds, rows sampled] counts on."""
+    from fracineq import quad
+
+    seen = [0, 0]
+    gk15_round = quad._gk15_round
+
+    def counted(live):
+        seen[0] += 1
+        seen[1] += sum(len(job.todo) for job in live)
+        return gk15_round(live)
+
+    monkeypatch.setattr(quad, "_gk15_round", counted)
+    return seen
+
+
+def test_batch_matches_the_serial_loop_bit_for_bit(monkeypatch):
     import numpy as np
 
     from fracineq import Params, corpus_by_name
+    from fracineq.bounds import _ORACLE_TOL, _oracle_spec
     from fracineq.identity import SIDE_TOL, _kernel_pieces
 
+    # native integrands that bisect deeply: both segments of the
+    # criterion-02 phi4 oracle at a small lambda, and a sqrt cusp at 0
+    deep = _oracle_spec(("phi-oracle", _ORACLE_TOL, 4, 3.0, 0.05, 1.5))[0]
+    deep.append((lambda t: np.sqrt(t) * np.cos(t), 0.0, 1.5))
     jobs = [(np.exp, 0.0, 1.0), (lambda t: np.sin(30.0 * t), 0.0, 2.0),
-            (lambda t: abs(t - 0.3), 0.0, 1.0),
-            (lambda t: np.sqrt(t) * np.cos(t), 0.0, 1.5)]
+            (lambda t: abs(t - 0.3), 0.0, 1.0)] + deep
     for entry in corpus_by_name().values():
         for lam, kappa in ((0.0, 0.5), (1.0 / 3.0, 0.5), (0.5, 2.0)):
             p = Params(a=0.0, b=1.0, m=1.0, x=0.3, lam=lam, kappa=kappa)
@@ -224,6 +244,66 @@ def test_batch_matches_the_serial_loop_bit_for_bit():
     for (f, lo, hi), res in zip(jobs, got):
         assert res == _serial_reference(f, lo, hi, SIDE_TOL)
     assert sum(r.subdivisions for r in got) > 5 * len(jobs)
+
+    # alone, each deep job bisects through its lookahead rows: fewer
+    # rounds than one per bisection, and every bit the same
+    seen = _count_rounds(monkeypatch)
+    for f, lo, hi in deep:
+        seen[:] = [0, 0]
+        res, = integrate_batch([(f, lo, hi)], SIDE_TOL)
+        assert res == _serial_reference(f, lo, hi, SIDE_TOL)
+        assert res.subdivisions > 8 and seen[0] < res.subdivisions + 1
+
+
+# 0.1875 is the centre node of [0.125, 0.25], an interval of the first
+# lookahead path of [0, 1] that sqrt(1 - t) never bisects down to: only a
+# lookahead row samples it
+_LOOKAHEAD_ONLY = 0.1875
+
+
+def test_a_non_finite_lookahead_sample_gives_the_serial_result():
+    import numpy as np
+
+    from fracineq.identity import SIDE_TOL
+
+    sampled = []
+
+    def f(t):
+        sampled.append(bool(np.any(t == _LOOKAHEAD_ONLY)))
+        return np.where(t == _LOOKAHEAD_ONLY, np.nan, np.sqrt(1.0 - t))
+
+    got, = integrate_batch([(f, 0.0, 1.0)], SIDE_TOL)
+    assert any(sampled)
+    sampled.clear()
+    assert got == _serial_reference(f, 0.0, 1.0, SIDE_TOL)
+    assert not any(sampled) and got.subdivisions > 8
+
+
+def test_an_integrand_raising_at_a_lookahead_node_stays_vectorized():
+    import numpy as np
+
+    from fracineq.identity import SIDE_TOL
+
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        if np.any(t == _LOOKAHEAD_ONLY):
+            raise ValueError("no value at %r" % _LOOKAHEAD_ONLY)
+        return np.sqrt(1.0 - t)
+
+    got, = integrate_batch([(f, 0.0, 1.0)], SIDE_TOL)
+    # it raised once, on a lookahead block, and was never called per node
+    assert sum(bool(np.any(t == _LOOKAHEAD_ONLY)) for t in calls) == 1
+    assert all(isinstance(t, np.ndarray) and t.size >= 15 for t in calls)
+    assert got == _serial_reference(f, 0.0, 1.0, SIDE_TOL)
+
+
+def test_a_list_returning_integrand_samples_no_lookahead_rows(monkeypatch):
+    seen = _count_rounds(monkeypatch)
+    got, = integrate_batch([(_kernel_like, 0.0, 1.0)])
+    assert got.subdivisions > 5
+    assert seen == [1 + got.subdivisions, 1 + 2 * got.subdivisions]
 
 
 def test_batch_rejects_a_malformed_interval_before_any_work():
