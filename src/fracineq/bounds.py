@@ -132,23 +132,24 @@ def _phi4_mid(kappa, lam, p):
     return first + second
 
 
-def _phi4_upper(kappa, lam, p):
+def _phi4_upper(kappa, lam, p, memo=None):
     # c >= 1: the kink sits at or beyond t = 1
     c = (kappa + 1.0) * lam
     x, y = (1.0 + p) / kappa, 1.0 + p
-    inc = beta(x, y) if c == 1.0 else beta_inc(1.0 / c, x, y)
+    inc = beta(x, y) if c == 1.0 else _beta_inc(memo, 1.0 / c, x, y)
     return c ** ((p * (kappa + 1.0) + 1.0) / kappa) / kappa * inc
 
 
-def phi4(kappa: float, lam: float, p: float) -> float:
-    """Corrected closed form (1/kappa on the middle-branch 2F1 term)."""
+def phi4(kappa: float, lam: float, p: float, memo: dict | None = None) -> float:
+    """Corrected closed form (1/kappa on the middle-branch 2F1 term); with a
+    memo, its incomplete beta is shared with the printed 2b-e and 2b-g."""
     _check_kl(kappa, lam)
     _check_p(p)
     if lam == 0.0:
         return 1.0 / (p * (kappa + 1.0) + 1.0)
     if lam < 1.0 / (kappa + 1.0):
         return _phi4_mid(kappa, lam, p)
-    return _phi4_upper(kappa, lam, p)
+    return _phi4_upper(kappa, lam, p, memo)
 
 
 # --- quadrature oracle -----------------------------------------------------
@@ -162,14 +163,14 @@ def _check_which(which: int, alpha: float | None, p: float | None) -> None:
         raise DomainError("phi4 needs p")
 
 
-def _closed_form(which, kappa, lam, alpha, p):
+def _closed_form(which, kappa, lam, alpha, p, memo):
     if which == 1:
         return phi1(kappa, lam)
     if which == 2:
         return phi2(kappa, lam, alpha)
     if which == 3:
         return phi3(kappa, lam, alpha)
-    return phi4(kappa, lam, p)
+    return phi4(kappa, lam, p, memo=memo)
 
 
 def _moment_key(which: int, kappa: float, lam: float, alpha, p) -> tuple:
@@ -188,10 +189,10 @@ def phi(which: int, kappa: float, lam: float, *,
     """
     _check_which(which, alpha, p)
     return memoized(memo, ("phi",) + _moment_key(which, kappa, lam, alpha, p),
-                    lambda: _closed_form(which, kappa, lam, alpha, p))
+                    lambda: _closed_form(which, kappa, lam, alpha, p, memo))
 
 
-def _oracle_spec(key: tuple) -> tuple:
+def _oracle_spec(key: tuple, shared: dict) -> tuple:
     """(jobs, scale) of a phi_oracle memo key: phi_oracle's argument
     checks, then its (integrand, lo, hi) segments, summed.
 
@@ -301,15 +302,16 @@ def _coefs(p: Params) -> tuple[float, float]:
     return c1, c2
 
 
-def _second_derivs(p: Params, fn: FnTriple) -> tuple[float, float, float]:
-    return (abs(float(fn.ddf(p.x))),
-            abs(float(fn.ddf(p.a / p.m))),
-            abs(float(fn.ddf(p.b))))
+def _second_derivs(p: Params, fn: FnTriple, memo: dict | None) -> tuple:
+    """|f''| at x, a/m and b, once per (fn, x, a, m, b) in a memo."""
+    return memoized(memo, ("second-derivs", fn, p.x, p.a, p.m, p.b),
+                    lambda: tuple(abs(float(fn.ddf(u)))
+                                  for u in (p.x, p.a / p.m, p.b)))
 
 
-def _holder_inner(p: Params, fn: FnTriple) -> tuple[float, float]:
+def _holder_inner(p: Params, fn: FnTriple, memo: dict | None) -> tuple:
     # the flat (alpha+1) mixes of |f''|^q, each to the power 1/q
-    d2x, d2a, d2b = _second_derivs(p, fn)
+    d2x, d2a, d2b = _second_derivs(p, fn, memo)
     q, al = p.q, p.alpha
     ia = (d2x ** q + al * p.m * d2a ** q) / (al + 1.0)
     ib = (d2x ** q + al * p.m * d2b ** q) / (al + 1.0)
@@ -321,7 +323,7 @@ def _power_mean_terms(p: Params, fn: FnTriple, memo: dict | None) -> tuple:
     f1 = phi(1, p.kappa, p.lam, memo=memo)
     f2 = phi(2, p.kappa, p.lam, alpha=p.alpha, memo=memo)
     f3 = phi(3, p.kappa, p.lam, alpha=p.alpha, memo=memo)
-    d2x, d2a, d2b = _second_derivs(p, fn)
+    d2x, d2a, d2b = _second_derivs(p, fn, memo)
     q = p.q
     ia = d2x ** q * f2 + p.m * d2a ** q * f3
     ib = d2x ** q * f2 + p.m * d2b ** q * f3
@@ -369,7 +371,7 @@ def _thm22(p, fn, memo):
     lhs = _theorem_lhs(p, fn, memo)
     pp = p.q / (p.q - 1.0)
     f4 = phi(4, p.kappa, p.lam, p=pp, memo=memo)
-    ga, gb = _holder_inner(p, fn)
+    ga, gb = _holder_inner(p, fn, memo)
     c1, c2 = _coefs(p)
     rhs = f4 ** (1.0 / pp) * (c1 * ga + c2 * gb)
     return _report("thm22", lhs, rhs)
@@ -387,7 +389,7 @@ def _check_classical(fn: FnTriple, a: float, b: float, lam: float,
     _require_admitted(fn, 1.0, 1.0, q, b)
 
 
-def _average_spec(key: tuple) -> tuple:
+def _average_spec(key: tuple, shared: dict) -> tuple:
     """(jobs, scale) of a ("simpson-avg", fn, a, b) key: int_a^b f."""
     _, fn, a, b = key
     return [(fn.f, a, b)], 1.0
@@ -435,15 +437,11 @@ def bound_sarikaya(fn: FnTriple, a: float, b: float, lam: float, q: float,
     _check_classical(fn, a, b, lam, q)
     da = abs(float(fn.ddf(a)))
     db = abs(float(fn.ddf(b)))
-    if lam <= 0.5:
-        pref, ca, cb = _sarikaya_terms_low(lam)
-        g1 = (ca * da ** q + cb * db ** q) ** (1.0 / q)
-        second = db if literal else da
-        g2 = (ca * db ** q + cb * second ** q) ** (1.0 / q)
-    else:
-        pref, ca, cb = _sarikaya_terms_high(lam)
-        g1 = (ca * da ** q + cb * db ** q) ** (1.0 / q)
-        g2 = (ca * db ** q + cb * da ** q) ** (1.0 / q)
+    low = lam <= 0.5
+    pref, ca, cb = (_sarikaya_terms_low if low else _sarikaya_terms_high)(lam)
+    g1 = (ca * da ** q + cb * db ** q) ** (1.0 / q)
+    second = db if literal and low else da
+    g2 = (ca * db ** q + cb * second ** q) ** (1.0 / q)
     prefactor = pref ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
     lhs = _simpson_blend_lhs(fn, a, b, lam, memo)
     rhs = (b - a) ** 2 / 2.0 * prefactor * (g1 + g2)
@@ -516,11 +514,21 @@ def _beta_inc(memo: dict | None, a: float, x: float, y: float) -> float:
     return memoized(memo, ("beta_inc", a, x, y), lambda: beta_inc(a, x, y))
 
 
+def _inner_mixes(p: Params, fn: FnTriple, memo: dict | None, c2: float,
+                 c3: float) -> float:
+    """(c2 |f''(x)|^q + m c3 |f''(a/m)|^q)^(1/q), plus the same at b."""
+    d2x, d2a, d2b = _second_derivs(p, fn, memo)
+    q = p.q
+    ia = c2 * d2x ** q + p.m * c3 * d2a ** q
+    ib = c2 * d2x ** q + p.m * c3 * d2b ** q
+    return ia ** (1.0 / q) + ib ** (1.0 / q)
+
+
 def _printed_2a_a(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, k = p.width, p.kappa
     f2 = phi(2, k, p.lam, alpha=p.alpha, memo=memo)
     f3 = phi(3, k, p.lam, alpha=p.alpha, memo=memo)
-    d2x, d2a, d2b = _second_derivs(p, fn)
+    d2x, d2a, d2b = _second_derivs(p, fn, memo)
     return (p.x - p.a) ** (k + 1.0) / w * (d2x * f2 + p.m * d2a * f3) \
         + (p.mb - p.x) ** (k + 1.0) / w * (d2x * f2 + p.m * d2b * f3)
 
@@ -539,16 +547,13 @@ def _printed_2a_d(p: Params, fn: FnTriple, memo: dict | None) -> float:
     f3p = (-2.0 ** (al + 4.0) - al * 3.0 ** (al + 2.0) * (al + 3.0)
            + 3.0 ** (al + 3.0) * (al + 2.0)
            + 8.0 * 3.0 ** (al - 1.0) * (al + 2.0) * (al + 3.0)) / den
-    d2x, d2a, d2b = _second_derivs(p, fn)
-    ia = f2p * d2x ** q + p.m * f3p * d2a ** q
-    ib = f2p * d2x ** q + p.m * f3p * d2b ** q
     return w ** 2 / 162.0 * (81.0 / 8.0) ** (1.0 / q) \
-        * (ia ** (1.0 / q) + ib ** (1.0 / q))
+        * _inner_mixes(p, fn, memo, f2p, f3p)
 
 
 def _printed_2a_e(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, k, q, al = p.width, p.kappa, p.q, p.alpha
-    d2x, d2a, d2b = _second_derivs(p, fn)
+    d2x, d2a, d2b = _second_derivs(p, fn, memo)
     ia = d2x ** q + k * p.m * d2a ** q / (k + 2.0)
     ib = d2x ** q + k * p.m * d2b ** q / (k + 2.0)
     return w ** 2 / (8.0 * (k + 1.0) * (al * k + 2.0)) \
@@ -558,60 +563,50 @@ def _printed_2a_e(p: Params, fn: FnTriple, memo: dict | None) -> float:
 
 def _printed_2a_f(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, q, al = p.width, p.q, p.alpha
-    d2x, d2a, d2b = _second_derivs(p, fn)
-    ia = 3.0 * d2x ** q + p.m * d2a ** q
-    ib = 3.0 * d2x ** q + p.m * d2b ** q
+    # m * 1.0 is m exactly: the printed 3 |f''(x)|^q + m |f''(a/m)|^q
     return w ** 2 / 48.0 * (1.0 / (al + 3.0)) ** (1.0 / q) \
-        * (ia ** (1.0 / q) + ib ** (1.0 / q))
+        * _inner_mixes(p, fn, memo, 3.0, 1.0)
 
 
 def _printed_2a_g(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, k, q, al = p.width, p.kappa, p.q, p.alpha
-    d2x, d2a, d2b = _second_derivs(p, fn)
     f2 = k * (k + al + 3.0) / ((al + 2.0) * (k + al + 2.0))
     f3 = al * (k + 1.0) / (2.0 * (al + 2.0)) - k / ((k + 2.0) * (k + al + 2.0))
     f1 = k * (k + 3.0) / (2.0 * (k + 2.0))
-    ia = f2 * d2x ** q + p.m * f3 * d2a ** q
-    ib = f2 * d2x ** q + p.m * f3 * d2b ** q
     pref = f1 ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
-    return w ** 2 / (8.0 * (k + 1.0)) * pref \
-        * (ia ** (1.0 / q) + ib ** (1.0 / q))
+    return w ** 2 / (8.0 * (k + 1.0)) * pref * _inner_mixes(p, fn, memo, f2, f3)
 
 
 def _printed_2a_h(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, q, al = p.width, p.q, p.alpha
-    d2x, d2a, d2b = _second_derivs(p, fn)
     f2 = (al + 4.0) / ((al + 2.0) * (al + 3.0))
     f3 = (3.0 * al ** 2 + 8.0 * al - 2.0) / (3.0 * (al + 2.0) * (al + 3.0))
-    ia = f2 * d2x ** q + p.m * f3 * d2a ** q
-    ib = f2 * d2x ** q + p.m * f3 * d2b ** q
     pref = (2.0 / 3.0) ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
-    return w ** 2 / 16.0 * pref * (ia ** (1.0 / q) + ib ** (1.0 / q))
+    return w ** 2 / 16.0 * pref * _inner_mixes(p, fn, memo, f2, f3)
 
 
 def _printed_2b_a(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, k = p.width, p.kappa
     pp = p.q / (p.q - 1.0)
-    ga, gb = _holder_inner(p, fn)
+    ga, gb = _holder_inner(p, fn, memo)
     f4 = phi(4, k, p.lam, p=pp, memo=memo)
     return f4 ** (1.0 / pp) * w ** 2 / (8.0 * (k + 1.0)) * (ga + gb)
 
 
 def _printed_2b_c(p: Params, fn: FnTriple, memo: dict | None) -> float:
-    w = p.width
     pp = p.q / (p.q - 1.0)
     # as circulated: no 1/(p+1) on the 2F1 term
     f4p = (2.0 / 3.0) ** (1.0 + 2.0 * pp) * beta(1.0 + pp, 1.0 + pp) \
         + (1.0 / 3.0) ** (1.0 + pp) * hyp2f1(-pp, 1.0, pp + 2.0, 1.0 / 3.0)
-    ga, gb = _holder_inner(p, fn)
-    return w ** 2 / 16.0 * f4p ** (1.0 / pp) * (ga + gb)
+    ga, gb = _holder_inner(p, fn, memo)
+    return p.width ** 2 / 16.0 * f4p ** (1.0 / pp) * (ga + gb)
 
 
 def _printed_2b_d(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, k = p.width, p.kappa
     pp = p.q / (p.q - 1.0)
     f4p = 1.0 / (pp * (k + 1.0) + 1.0)
-    ga, gb = _holder_inner(p, fn)
+    ga, gb = _holder_inner(p, fn, memo)
     return w ** 2 / 16.0 * f4p ** (1.0 / pp) * (ga + gb)
 
 
@@ -620,16 +615,15 @@ def _printed_2b_e(p: Params, fn: FnTriple, memo: dict | None) -> float:
     pp = p.q / (p.q - 1.0)
     f4p = (1.0 + k) ** ((pp * (k + 1.0) + 1.0) / k) / k \
         * _beta_inc(memo, 1.0 / (1.0 + k), (1.0 + pp) / k, 1.0 + pp)
-    ga, gb = _holder_inner(p, fn)
+    ga, gb = _holder_inner(p, fn, memo)
     return w ** 2 / 16.0 * f4p ** (1.0 / pp) * (ga + gb)
 
 
 def _printed_2b_g(p: Params, fn: FnTriple, memo: dict | None) -> float:
-    w = p.width
     pp = p.q / (p.q - 1.0)
-    ga, gb = _holder_inner(p, fn)
+    ga, gb = _holder_inner(p, fn, memo)
     inc = _beta_inc(memo, 0.5, 1.0 + pp, 1.0 + pp)
-    return w ** 2 / 4.0 * (2.0 * inc) ** (1.0 / pp) * (ga + gb)
+    return p.width ** 2 / 4.0 * (2.0 * inc) ** (1.0 / pp) * (ga + gb)
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,7 @@ def rl_job(f: Callable[[float], float], anchor: float, kappa: float,
             raise DomainError("rl_right requires x < b, got b=%r x=%r"
                               % (anchor, x))
         weight = (x, anchor, kappa - 1.0, 0.0)
-    g = 1.0 / gamma(kappa)
-    job, = singular_jobs(f, *weight)
-    return job, g
+    return singular_jobs(f, *weight)[0], 1.0 / gamma(kappa)
 
 
 def _rl_result(left, f, anchor, kappa, x, tol):

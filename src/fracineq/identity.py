@@ -125,10 +125,11 @@ def memoized_integrals(memo: dict | None, keys: list, build,
                        tol: Tolerance) -> list:
     """The QuadResult of each memo key of keys, in order, stored in memo.
 
-    build(key) returns the (f, lo, hi) quadrature jobs of the integral a
-    key names and a scale: the integral is the scale times the sum of
-    their results, in job order.  The jobs of every distinct key missing
-    from memo run in one integrate_batch at tol, so a sweep block and a
+    build(key, shared) returns the (f, lo, hi) quadrature jobs of the
+    integral a key names and a scale: the integral is the scale times the
+    sum of their results, in job order; shared is one dict per call, for
+    work the jobs share.  The jobs of every distinct key missing from
+    memo run in one integrate_batch at tol, so a sweep block and a
     single reader make the same call, with many keys or one.  A key whose
     build raises, or one of whose jobs fails, gets that error (the first
     in job order) in place of a QuadResult and is not stored: its next
@@ -140,11 +141,11 @@ def memoized_integrals(memo: dict | None, keys: list, build,
         return [store[key] for key in keys]
     except KeyError:
         pass
-    failed, todo = {}, []
+    failed, todo, shared = {}, [], {}
     for key in dict.fromkeys(keys):
         if key not in store:
             try:
-                todo.append((key,) + build(key))
+                todo.append((key,) + build(key, shared))
             except Exception as exc:    # the key's own failure, for its reader
                 failed[key] = exc
     results = iter(integrate_batch([job for _, jobs, _ in todo for job in jobs],
@@ -187,15 +188,13 @@ def _rl_keys(p: Params, fn: FnTriple) -> list:
 def _direct_with_budget(p: Params, fn: FnTriple,
                         memo: dict | None = None) -> tuple[float, float]:
     mb, w, k = p.mb, p.width, p.kappa
-    xa = p.x - p.a
-    bx = mb - p.x
+    xa, bx = p.x - p.a, mb - p.x
     value = (1.0 - p.lam) * (xa ** k + bx ** k) / w * float(fn.f(p.x))
     value += p.lam * (xa ** k * float(fn.f(p.a)) + bx ** k * float(fn.f(mb))) / w
     value += (1.0 / (k + 1.0) - p.lam) \
         * (bx ** (k + 1.0) - xa ** (k + 1.0)) / w * float(fn.df(p.x))
     gk1 = gamma(k + 1.0)
-    frac = 0.0
-    budget = 0.0
+    frac, budget = 0.0, 0.0
     for res in memoized_integrals(memo, _rl_keys(p, fn), side_spec, SIDE_TOL):
         if isinstance(res, Exception):
             raise res
@@ -211,23 +210,33 @@ def direct_side(p: Params, fn: FnTriple) -> float:
 
 
 def _kernel_pieces(fn: FnTriple, anchor: float, x: float, lam: float,
-                   k: float) -> list:
+                   k: float, shared: dict) -> list:
     """The (integrand, lo, hi) jobs of one kernel half.
 
     The half is int_0^1 t ((k+1)lam - t^k) f''(anchor + t (x - anchor)) dt,
-    split at t* = ((k+1)lam)^(1/k) when that point is interior.
+    split at t* = ((k+1)lam)^(1/k) when that point is interior.  The t^k
+    and f'' samples of each distinct node block are computed once in
+    shared, for every half that samples it: t^k per kappa, f'' per (fn,
+    anchor, x).
     """
     c = (k + 1.0) * lam
-    tstar = c ** (1.0 / k) if 0.0 < c < 1.0 else None
-    cuts = [0.0, 1.0] if tstar is None else [0.0, tstar, 1.0]
+    cuts = [0.0, c ** (1.0 / k), 1.0] if 0.0 < c < 1.0 else [0.0, 1.0]
     ddf, span = fn.ddf, x - anchor
+    pows = shared.setdefault(("pow", k), {})
+    derivs = shared.setdefault(("ddf", fn, anchor, x), {})
 
-    # one call per GK pass: scalar C arithmetic keeps every bit of the
-    # per-node loop, without a failed vector probe on each integral.
-    # ravel lets the evaluator's scalar retry re-raise an error from ddf.
+    # Python's pow and one scalar f'' per node: numpy's array ** and a
+    # vector f'' can differ from them in the last bit.  ravel lets the
+    # evaluator's scalar retry re-raise an error from ddf.
     def g(ts):
-        return [t * (c - t ** k) * float(ddf(anchor + t * span))
-                for t in np.ravel(ts).tolist()]
+        ts = np.ravel(ts)
+        key = ts.tobytes()
+        if key not in pows:
+            pows[key] = np.array([t ** k for t in ts.tolist()])
+        if key not in derivs:
+            derivs[key] = np.array([float(ddf(anchor + t * span))
+                                    for t in ts.tolist()])
+        return ts * (c - pows[key]) * derivs[key]
 
     return [(g, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
@@ -248,12 +257,12 @@ def side_keys(p: Params, fn: FnTriple) -> list:
     return _rl_keys(p, fn) + [key for _, key in _half_keys(p, fn)]
 
 
-def side_spec(key: tuple) -> tuple:
+def side_spec(key: tuple, shared: dict) -> tuple:
     """memoized_integrals' (jobs, scale) of a side_keys key, at SIDE_TOL: a
     kernel half's pieces, summed, or the one job of rl_left_result or
     rl_right_result of fn.f, anchored at x, over the key's interval."""
     if key[0] == "kernel-half":
-        return _kernel_pieces(*key[1:]), 1.0
+        return _kernel_pieces(*key[1:], shared), 1.0
     tag, fn, lo, hi, kappa = key
     if tag == "rl-left":
         job, g = rl_job(fn.f, lo, kappa, hi, True)

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, EvaluationError
 
 _EPS = float(np.finfo(float).eps)
-LOOKAHEAD = 3   # levels down its bisection path a native job samples ahead
+LOOKAHEAD = 5   # levels down its bisection path a native job samples ahead
 
 # Kronrod-15 abscissae (positive half) and weights, Gauss-7 weights.
 # The embedded Gauss nodes are every second Kronrod node.
@@ -129,25 +129,26 @@ def _check_interval(lo: float, hi: float) -> None:
 class _Job:
     """One integral's worst-first bisection state inside integrate_batch."""
 
-    __slots__ = ("slot", "ev", "todo", "split", "heap", "value", "err", "nsub",
-                 "ahead")
+    __slots__ = ("slot", "ev", "lo", "hi", "todo", "split", "heap", "value",
+                 "err", "nsub", "ahead")
 
     def __init__(self, slot: int, f: Callable[[float], float], lo: float,
                  hi: float):
-        self.slot = slot
+        self.slot, self.lo, self.hi = slot, lo, hi
         self.ev = _Evaluator(f)
         self.todo = ((lo, hi),)     # intervals to sample this round
         self.split = None           # (value, error) of the interval bisected
-        self.heap = []
-        self.nsub = 0
+        self.heap, self.nsub = [], 0
         self.ahead = {}             # (lo, hi) -> rule of a lookahead row
 
     def advance(self, rules: list, tol: Tolerance) -> QuadResult | None:
         """Take the (value, error) of each todo interval; pick the next split.
 
         A native job's todo goes on with the halves of its next LOOKAHEAD
-        splits down the side its last split took, whose rules wait in ahead;
-        while both halves of the next split are there, it is bisected too.
+        splits toward the end of [lo, hi] the split interval touches (with
+        both or neither, the side the last split took), whose rules wait in
+        ahead; while both halves of the next split are there, it is
+        bisected too.
         Returns the result once tolerance (or the round-off floor) is met,
         None when todo holds the next split.
         """
@@ -191,13 +192,11 @@ class _Job:
                     estimate=self._best(),
                 )
             self.split = (v, e)
-            if not self.ev.native:
-                self.todo = ((a, mid), (mid, b))
-                return None
-            left = a == self.todo[0][0]     # the last split also began at a
+            at_lo, at_hi = a == self.lo, b == self.hi
+            left = at_lo if at_lo != at_hi else a == self.todo[0][0]
             self.todo = todo = ((a, mid), (mid, b))
             if not (todo[0] in self.ahead and todo[1] in self.ahead):
-                for _ in range(LOOKAHEAD):
+                for _ in range(LOOKAHEAD if self.ev.native else 0):
                     a, b = (a, mid) if left else (mid, b)
                     mid = 0.5 * (a + b)
                     self.todo += ((a, mid), (mid, b))

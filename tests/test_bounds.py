@@ -86,10 +86,10 @@ def test_phi4_literal_drops_the_kappa_scale():
     assert abs(phi4(k, lam, p) - want) <= 1e-12
 
 
-def test_criterion_02_oracles_fit_in_6000_engine_rounds(monkeypatch):
+def test_criterion_02_oracles_fit_in_4580_engine_rounds(monkeypatch):
     # the oracle integrals of acceptance criterion 2, counted as CI counts
     # the sweep's: native integrands bisect through their lookahead rows,
-    # so most of the 13,166 splits need no round of their own (5,559;
+    # so most of the 13,166 splits need no round of their own (4,358;
     # one round per split would be 13,962)
     from test_acceptance import ALPHAS, KAPPAS_ORACLE, LAMS_ORACLE, PS
     from test_quad import _count_rounds
@@ -102,7 +102,7 @@ def test_criterion_02_oracles_fit_in_6000_engine_rounds(monkeypatch):
             phi_oracle(3, k, lam, alpha=al)
         for p in PS:
             phi_oracle(4, k, lam, p=p)
-    assert seen[0] <= 6000, "%d GK15 rounds, limit 6000" % seen[0]
+    assert seen[0] <= 4580, "%d GK15 rounds, limit 4580" % seen[0]
 
 
 def _serial_oracle(which, kappa, lam, alpha=None, p=None):

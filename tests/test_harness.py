@@ -436,9 +436,9 @@ def test_sweep_calls_phi4_once_per_distinct_argument_set(tmp_path,
     calls = collections.Counter()
     phi4 = fracineq.bounds.phi4
 
-    def spy(*args):
+    def spy(*args, memo=None):
         calls[args] += 1
-        return phi4(*args)
+        return phi4(*args, memo=memo)
 
     monkeypatch.setattr(fracineq.bounds, "phi4", spy)
     run_sweep(parse_sweep_config(SMALL_SWEEP_CFG), str(tmp_path / "r.csv"))
@@ -463,6 +463,32 @@ def test_small_sweep_gk15_rounds_are_pinned(tmp_path, monkeypatch):
                         str(tmp_path / "r.csv"))
     assert summary.rows_total == 250
     assert len(rounds) <= 10
+
+
+def test_stock_sweep_samples_each_kernel_node_block_once(tmp_path,
+                                                         monkeypatch):
+    # the kernel halves of one (fn, anchor, x) share their f'' samples: a
+    # node block any of them samples in a block batch costs one f'' call
+    # per node.  Node by node, every row of every half, it was 171,540
+    # calls; 124,290 now, lookahead rows included
+    calls = collections.Counter()
+    counting = {}
+    kernel_pieces = fracineq.identity._kernel_pieces
+
+    def spy(fn, *args):
+        if fn not in counting:
+            def ddf(u, name=fn.name, inner=fn.ddf):
+                calls[name] += 1
+                return inner(u)
+
+            counting[fn] = FnTriple(f=fn.f, df=fn.df, ddf=ddf, name=fn.name)
+        return kernel_pieces(counting[fn], *args)
+
+    monkeypatch.setattr(fracineq.identity, "_kernel_pieces", spy)
+    summary = run_sweep(DEFAULT_CONFIG, str(tmp_path / "r.csv"))
+    assert summary.rows_total == 1440 and summary.ok
+    assert set(calls) == set(DEFAULT_CONFIG.fns)
+    assert sum(calls.values()) <= 130_000, calls
 
 
 def test_memo_never_shares_entries_between_same_named_fns():
@@ -673,7 +699,7 @@ def test_cli_verification_failure_exit_1(monkeypatch, capsys):
     # closed form to exercise the nonzero exit path
     import fracineq.bounds as bounds
 
-    monkeypatch.setattr(bounds, "phi4", lambda k, lam, p: 99.0)
+    monkeypatch.setattr(bounds, "phi4", lambda k, lam, p, memo=None: 99.0)
     rc = main(["phi", "4", "--kappa", "1", "--lambda", "0.2", "--p", "2",
                "--oracle"])
     capsys.readouterr()

@@ -9,6 +9,7 @@ exact in theory, so residuals are held to the quadrature budget.
 import collections
 import math
 
+import numpy as np
 import pytest
 
 from fracineq import DomainError, EvaluationError, Params, corpus_by_name, direct_side, \
@@ -148,6 +149,91 @@ def test_memo_shared_across_points_changes_no_bit():
     halves = [k for k in memo if k[0] == "kernel-half"]
     points = [k for k in memo if k[0] == "direct"]
     assert 0 < len(halves) < 2 * len(points)
+
+
+def _per_node(fn, anchor, x, lam, k):
+    """The kernel integrand as a list, one Python expression per node: the
+    values the native integrand and its sample tables must reproduce."""
+    c, span = (k + 1.0) * lam, x - anchor
+    return lambda ts: [t * (c - t ** k) * float(fn.ddf(anchor + t * span))
+                       for t in np.ravel(ts).tolist()]
+
+
+def test_the_kernel_integrand_is_the_per_node_list_bit_for_bit():
+    # every node block the engine samples (lookahead rows and table reads
+    # included) for every corpus function, at a kappa whose t^k numpy's
+    # array power may round otherwise and at kappa 2, both anchors
+    from fracineq.identity import _kernel_pieces
+    from fracineq.quad import QuadResult, integrate_batch
+
+    shared, jobs, refs, same = {}, [], [], []
+    for fn in FNS.values():
+        for lam, k in ((0.0, 0.5), (1.0 / 3.0, 0.5), (0.5, 2.0)):
+            for anchor in (0.0, 1.0):
+                ref = _per_node(fn, anchor, 0.3, lam, k)
+                for g, lo, hi in _kernel_pieces(fn, anchor, 0.3, lam, k,
+                                                shared):
+                    def spy(ts, g=g, ref=ref):
+                        got = g(ts)
+                        same.append(got.tobytes() == np.array(ref(ts)).tobytes())
+                        return got
+
+                    jobs.append((spy, lo, hi))
+                    refs.append((ref, lo, hi))
+                    # a scalar call, as the evaluator's retry makes
+                    assert g(0.375).tolist() == ref(0.375)
+    got = integrate_batch(jobs, SIDE_TOL)
+    assert all(isinstance(res, QuadResult) for res in got)
+    assert got == integrate_batch(refs, SIDE_TOL)
+    assert len(same) > len(jobs) and all(same)
+    # the halves of one (fn, anchor, x) read the same f'' blocks
+    assert len(shared) == 2 * len(FNS) + 2
+
+
+def test_a_raising_second_derivative_gives_what_the_per_node_list_gives():
+    # pow-2.5's half from the anchor a = 0 at x = 0.3, lambda 1/3, kappa
+    # 0.5 bisects [0, t*] toward 0.  f'' raising at a node that only its
+    # lookahead rows sample changes no bit; raising at a node a real row
+    # samples is the same error, in the same round, as the per-node list's
+    from fracineq.identity import _kernel_pieces
+    from fracineq.quad import integrate_batch
+
+    base = FNS["pow-2.5"]
+    args = (0.0, 0.3, 1.0 / 3.0, 0.5)
+    real, seen = set(), set()
+
+    def recorded(into):
+        return FnTriple(f=base.f, df=base.df, name=base.name,
+                        ddf=lambda u: into.add(u) or base.ddf(u))
+
+    jobs = _kernel_pieces(recorded(seen), *args, {})
+    want = integrate_batch([(_per_node(recorded(real), *args), lo, hi)
+                            for _, lo, hi in jobs], SIDE_TOL)
+    assert integrate_batch(jobs, SIDE_TOL) == want
+    assert want[0].subdivisions > 5
+
+    def outcome(results):
+        return [(type(r).__name__, str(r)) for r in results]
+
+    for bad, expect in ((min(seen - real), want), (min(real), None)):
+        raised = []
+
+        def ddf(u, bad=bad):
+            if u == bad:
+                raised.append(u)
+                raise ValueError("no f'' at %r" % u)
+            return base.ddf(u)
+
+        fn = FnTriple(f=base.f, df=base.df, ddf=ddf, name="raises")
+        got = integrate_batch(_kernel_pieces(fn, *args, {}), SIDE_TOL)
+        assert raised
+        ref = integrate_batch([(_per_node(fn, *args), lo, hi)
+                               for _, lo, hi in jobs], SIDE_TOL)
+        assert outcome(got) == outcome(ref)
+        if expect:
+            assert got == expect
+        else:
+            assert isinstance(got[0], ValueError)
 
 
 def test_kernel_side_passes_on_the_error_of_a_raising_second_derivative():

@@ -231,7 +231,7 @@ def test_batch_matches_the_serial_loop_bit_for_bit(monkeypatch):
 
     # native integrands that bisect deeply: both segments of the
     # criterion-02 phi4 oracle at a small lambda, and a sqrt cusp at 0
-    deep = _oracle_spec(("phi-oracle", _ORACLE_TOL, 4, 3.0, 0.05, 1.5))[0]
+    deep = _oracle_spec(("phi-oracle", _ORACLE_TOL, 4, 3.0, 0.05, 1.5), {})[0]
     deep.append((lambda t: np.sqrt(t) * np.cos(t), 0.0, 1.5))
     jobs = [(np.exp, 0.0, 1.0), (lambda t: np.sin(30.0 * t), 0.0, 2.0),
             (lambda t: abs(t - 0.3), 0.0, 1.0)] + deep
@@ -239,7 +239,7 @@ def test_batch_matches_the_serial_loop_bit_for_bit(monkeypatch):
         for lam, kappa in ((0.0, 0.5), (1.0 / 3.0, 0.5), (0.5, 2.0)):
             p = Params(a=0.0, b=1.0, m=1.0, x=0.3, lam=lam, kappa=kappa)
             for anchor in (p.a, p.mb):
-                jobs += _kernel_pieces(entry.fn, anchor, p.x, lam, kappa)
+                jobs += _kernel_pieces(entry.fn, anchor, p.x, lam, kappa, {})
     got = integrate_batch(jobs, SIDE_TOL)
     for (f, lo, hi), res in zip(jobs, got):
         assert res == _serial_reference(f, lo, hi, SIDE_TOL)
@@ -253,6 +253,31 @@ def test_batch_matches_the_serial_loop_bit_for_bit(monkeypatch):
         res, = integrate_batch([(f, lo, hi)], SIDE_TOL)
         assert res == _serial_reference(f, lo, hi, SIDE_TOL)
         assert res.subdivisions > 8 and seen[0] < res.subdivisions + 1
+
+
+def test_lookahead_heads_for_the_end_of_the_job_it_splits(monkeypatch):
+    import numpy as np
+
+    from fracineq.bounds import _ORACLE_TOL, _oracle_spec
+    from fracineq.identity import SIDE_TOL
+
+    # the [0, t*] segment of the phi4 oracle at kappa 2, lambda 0.3, p 1.5
+    # splits toward 0 and toward t* by turns: its lookahead follows the
+    # end each split touches (13 rounds when it followed the last split)
+    (f, lo, hi), _ = _oracle_spec(("phi-oracle", _ORACLE_TOL, 4, 2.0, 0.3,
+                                   1.5), {})[0]
+    seen = _count_rounds(monkeypatch)
+    res, = integrate_batch([(f, lo, hi)], _ORACLE_TOL)
+    assert res == _serial_reference(f, lo, hi, _ORACLE_TOL)
+    assert res.subdivisions == 24 and seen[0] <= 8
+
+    # sqrt(1 - t) splits toward 1 only: after the first split (which looks
+    # left) its lookahead heads right (8 rounds when it followed the split)
+    seen[:] = [0, 0]
+    f = lambda t: np.sqrt(1.0 - t)
+    res, = integrate_batch([(f, 0.0, 1.0)], SIDE_TOL)
+    assert res == _serial_reference(f, 0.0, 1.0, SIDE_TOL)
+    assert res.subdivisions == 23 and seen[0] <= 6
 
 
 # 0.1875 is the centre node of [0.125, 0.25], an interval of the first
