@@ -29,7 +29,7 @@ from .quad import _Evaluator
 
 DEFAULT_GRID = (41, 41, 33)
 VIOLATION_TOL = 1e-12
-# samples per x-row slab: each temporary stays under glibc's 128 KiB mmap threshold
+# samples per slab: each temporary stays under glibc's 128 KiB mmap threshold
 SLAB_SAMPLES = 12_000
 
 
@@ -64,7 +64,8 @@ class ConvexityReport:
 def check_am_convex(g: Callable, alpha: float, m: float,
                     domain: tuple = (0.0, 1.0),
                     grid: tuple = DEFAULT_GRID) -> ConvexityReport:
-    """Grid test of the defining inequality on domain = [0, B], in slabs of x-rows."""
+    """Grid test of the defining inequality on domain = [0, B], in slabs of x-rows
+    (of y-values within one x-row when a y-t plane is larger than a slab)."""
     check_unit_interval("alpha", alpha)
     if not (0.0 < m <= 1.0):
         raise DomainError("m must lie in (0, 1], got %r" % (m,))
@@ -81,24 +82,28 @@ def check_am_convex(g: Callable, alpha: float, m: float,
     ys = np.linspace(lo, hi, ny)
     ts = np.linspace(0.0, 1.0, nt)
     ta = ts ** alpha  # 0**0 == 1.0, matching the t^0 = 1 convention
-    my_t = m * (1.0 - ts) * ys[:, None]
-    rows = max(1, SLAB_SAMPLES // (ny * nt))
+    cols = min(ny, max(1, SLAB_SAMPLES // nt))
+    rows = max(1, SLAB_SAMPLES // (cols * nt))  # 1 unless cols == ny
     ev = _Evaluator(g)
     best = None
-    for i in range(0, nx, rows):
-        g_arg = ev(ts * xs[i:i + rows, None, None] + my_t)
-        if i == 0:  # after the first slab, which sets ev's vector choice
-            g_x, g_y = ev(xs), ev(ys)
-            finite = np.isfinite(g_x).all() and np.isfinite(g_y).all()
-            mg_y = m * (1.0 - ta) * g_y[:, None]
-        if not (finite and np.isfinite(g_arg).all()):
-            raise EvaluationError("g returned a non-finite value on the check grid")
-        viol = g_arg - (ta * g_x[i:i + rows, None, None] + mg_y)
-        k = viol.argmax()
-        if best is None or viol.flat[k] > best:  # keeps the first maximum
-            best, at = viol.flat[k], i * ny * nt + k
-    ix, iy, it = np.unravel_index(at, (nx, ny, nt))
-    return ConvexityReport(alpha=alpha, m=m, max_violation=float(best),
+    for j in range(0, ny, cols):    # y outermost: one y-slab's tables live at a time
+        my_t = m * (1.0 - ts) * ys[j:j + cols, None]
+        for i in range(0, nx, rows):
+            g_arg = ev(ts * xs[i:i + rows, None, None] + my_t)
+            if i == j == 0:  # after the first slab, which sets ev's vector choice
+                g_x, g_y = ev(xs), ev(ys)
+                finite = np.isfinite(g_x).all() and np.isfinite(g_y).all()
+            if not (finite and np.isfinite(g_arg).all()):
+                raise EvaluationError("g returned a non-finite value on the check grid")
+            if i == 0:
+                mg_y = m * (1.0 - ta) * g_y[j:j + cols, None]
+            viol = g_arg - (ta * g_x[i:i + rows, None, None] + mg_y)
+            k = viol.argmax()
+            here = (viol.flat[k], -((i * ny + j) * nt + k))
+            if best is None or here > best:  # keeps the first maximum in C order
+                best = here
+    ix, iy, it = np.unravel_index(-best[1], (nx, ny, nt))
+    return ConvexityReport(alpha=alpha, m=m, max_violation=float(best[0]),
                            worst_point=(float(xs[ix]), float(ys[iy]), float(ts[it])),
                            samples=nx * ny * nt)
 

@@ -34,13 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amconvex import FnTriple, is_admitted
-from .errors import AdmissionError, DomainError, check_unit_interval
+from .errors import AdmissionError, ConvergenceError, DomainError, check_unit_interval
 from .identity import Params, direct_with_budget, memoized, memoized_integrals
 from .quad import Tolerance
-from .specfun import beta, beta_inc, hyp2f1
+from .specfun import beta, beta_inc, hyp2f1, hyp2f1_result
 
 HOLDS_SLACK = 1e-9
 COROLLARY_MATCH_TOL = 1e-10
+# the largest scaled 2F1 truncation tail phi4's middle branch returns
+PHI4_TAIL_BUDGET = 1e-13
 
 _ORACLE_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_subdiv=4000)
 _LHS_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_subdiv=2000)
@@ -127,9 +129,13 @@ def _phi4_mid(kappa, lam, p):
     c = (kappa + 1.0) * lam
     expo = (1.0 + (kappa + 1.0) * p) / kappa
     first = c ** expo / kappa * beta((1.0 + p) / kappa, 1.0 + p)
-    second = 1.0 / kappa * (1.0 - c) ** (p + 1.0) / (p + 1.0) \
-        * hyp2f1(1.0 - (1.0 + p) / kappa, 1.0, p + 2.0, 1.0 - c)
-    return first + second
+    scale = 1.0 / kappa * (1.0 - c) ** (p + 1.0) / (p + 1.0)
+    series = hyp2f1_result(1.0 - (1.0 + p) / kappa, 1.0, p + 2.0, 1.0 - c)
+    tail = scale * series.abs_error_estimate
+    if tail > PHI4_TAIL_BUDGET:
+        raise ConvergenceError("phi4(%r, %r, %r): 2F1 series near z = 1 cut with a "
+                               "tail estimate of %.3g" % (kappa, lam, p, tail))
+    return first + scale * series.value
 
 
 def _phi4_upper(kappa, lam, p, memo=None):
@@ -297,9 +303,7 @@ def _require_admitted(fn: FnTriple, alpha: float, m: float, q: float,
 
 def _coefs(p: Params) -> tuple[float, float]:
     w, k = p.width, p.kappa
-    c1 = (p.x - p.a) ** (k + 2.0) / ((k + 1.0) * w)
-    c2 = (p.mb - p.x) ** (k + 2.0) / ((k + 1.0) * w)
-    return c1, c2
+    return tuple(gap ** (k + 2.0) / ((k + 1.0) * w) for gap in (p.x - p.a, p.mb - p.x))
 
 
 def _second_derivs(p: Params, fn: FnTriple, memo: dict | None) -> tuple:
@@ -435,8 +439,7 @@ def bound_sarikaya(fn: FnTriple, a: float, b: float, lam: float, q: float,
     from memo when one is given.
     """
     _check_classical(fn, a, b, lam, q)
-    da = abs(float(fn.ddf(a)))
-    db = abs(float(fn.ddf(b)))
+    da, db = (abs(float(fn.ddf(u))) for u in (a, b))
     low = lam <= 0.5
     pref, ca, cb = (_sarikaya_terms_low if low else _sarikaya_terms_high)(lam)
     g1 = (ca * da ** q + cb * db ** q) ** (1.0 / q)
@@ -474,10 +477,7 @@ def remark_bound(fn: FnTriple, a: float, b: float, lam: float, q: float,
     The lhs is taken from memo when one is given.
     """
     _check_classical(fn, a, b, lam, q)
-    mid = 0.5 * (a + b)
-    dm = abs(float(fn.ddf(mid)))
-    da = abs(float(fn.ddf(a)))
-    db = abs(float(fn.ddf(b)))
+    dm, da, db = (abs(float(fn.ddf(u))) for u in (0.5 * (a + b), a, b))
     r1, r2, r3 = remark_phi1(lam), remark_phi2(lam), remark_phi3(lam)
     g1 = (dm ** q * r2 + da ** q * r3) ** (1.0 / q)
     g2 = (dm ** q * r2 + db ** q * r3) ** (1.0 / q)
@@ -586,8 +586,7 @@ def _printed_2a_h(p: Params, fn: FnTriple, memo: dict | None) -> float:
 
 
 def _printed_2b_a(p: Params, fn: FnTriple, memo: dict | None) -> float:
-    w, k = p.width, p.kappa
-    pp = p.q / (p.q - 1.0)
+    w, k, pp = p.width, p.kappa, p.q / (p.q - 1.0)
     ga, gb = _holder_inner(p, fn, memo)
     f4 = phi(4, k, p.lam, p=pp, memo=memo)
     return f4 ** (1.0 / pp) * w ** 2 / (8.0 * (k + 1.0)) * (ga + gb)
@@ -603,16 +602,14 @@ def _printed_2b_c(p: Params, fn: FnTriple, memo: dict | None) -> float:
 
 
 def _printed_2b_d(p: Params, fn: FnTriple, memo: dict | None) -> float:
-    w, k = p.width, p.kappa
-    pp = p.q / (p.q - 1.0)
+    w, k, pp = p.width, p.kappa, p.q / (p.q - 1.0)
     f4p = 1.0 / (pp * (k + 1.0) + 1.0)
     ga, gb = _holder_inner(p, fn, memo)
     return w ** 2 / 16.0 * f4p ** (1.0 / pp) * (ga + gb)
 
 
 def _printed_2b_e(p: Params, fn: FnTriple, memo: dict | None) -> float:
-    w, k = p.width, p.kappa
-    pp = p.q / (p.q - 1.0)
+    w, k, pp = p.width, p.kappa, p.q / (p.q - 1.0)
     f4p = (1.0 + k) ** ((pp * (k + 1.0) + 1.0) / k) / k \
         * _beta_inc(memo, 1.0 / (1.0 + k), (1.0 + pp) / k, 1.0 + pp)
     ga, gb = _holder_inner(p, fn, memo)
@@ -735,25 +732,17 @@ def corollary_check(cid: str, p: Params, fn: FnTriple,
     if unmet is not None:
         raise DomainError(unmet)
 
-    if spec.family == "pm":
-        base = bound_thm211(p, fn, memo=memo)
-    else:
-        base = bound_thm22(p, fn, memo=memo)
+    base = (bound_thm211 if spec.family == "pm" else bound_thm22)(p, fn, memo=memo)
     scale = 1.0 if cid == "2a-a" else (2.0 / p.width) ** (p.kappa - 1.0)
     lhs = scale * base.lhs
     general_rhs = scale * base.rhs
     printed_rhs = float(spec.printed(p, fn, memo))
     discrepancy = abs(printed_rhs - general_rhs)
-    matches = discrepancy <= COROLLARY_MATCH_TOL
     return CorollaryReport(
-        which="corollary:" + cid,
-        lhs=lhs,
-        rhs=general_rhs,
+        which="corollary:" + cid, lhs=lhs, rhs=general_rhs,
         holds=lhs <= general_rhs + HOLDS_SLACK,
         tightness=_tightness(lhs, general_rhs),
-        printed_rhs=printed_rhs,
-        general_rhs=general_rhs,
+        printed_rhs=printed_rhs, general_rhs=general_rhs,
         discrepancy=discrepancy,
-        matches_printed=matches,
-        typo_suspect=spec.typo_suspect,
-        note=spec.note)
+        matches_printed=discrepancy <= COROLLARY_MATCH_TOL,
+        typo_suspect=spec.typo_suspect, note=spec.note)

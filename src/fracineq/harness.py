@@ -290,6 +290,8 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
 
     out_path is opened before any work, and each row is written as it is
     produced: a bad path fails first, and a crash keeps the rows before it.
+    Rows are the bytes csv.writer writes, built directly: no field needs
+    quoting (check ids, corpus names, numbers, true/false).
     """
     by_name = corpus_by_name()
     memo: dict = {}
@@ -302,10 +304,9 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
     phi_seen = set()
 
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
         for pt, prm in _grid(cfg, by_name, memo):
-            cells = [_fmt(v) for v in pt]
+            cells = ",".join(map(_fmt, pt))
             for check in cfg.checks:
                 if check == "phi-oracle":
                     if pt[4:] in phi_seen:
@@ -334,9 +335,9 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
                                   file=sys.stderr)
                             continue
                         which, lhs, rhs, ok, tight, res = row
-                        writer.writerow([which, fn_name, *cells, _fmt(lhs),
-                                         _fmt(rhs), _fmt_bool(ok),
-                                         _fmt(tight), _fmt(res)])
+                        fh.write("%s,%s,%s,%s,%s,%s,%s,%s\r\n" % (
+                            which, fn_name, cells, _fmt(lhs), _fmt(rhs),
+                            _fmt_bool(ok), _fmt(tight), _fmt(res)))
                         total += 1
                         held += ok
                         worst_tight = max(worst_tight, tight)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -134,20 +135,18 @@ def memoized_integrals(memo: dict | None, keys: list, build,
     build raises, or one of whose jobs fails, gets that error (the first
     in job order) in place of a QuadResult and is not stored: its next
     reader computes it again and gets the same error.  When every key is
-    in memo this is one lookup per key.
+    in memo no job is built.
     """
     store = {} if memo is None else memo
-    try:
+    missing = [key for key in keys if key not in store]
+    if not missing:
         return [store[key] for key in keys]
-    except KeyError:
-        pass
     failed, todo, shared = {}, [], {}
-    for key in dict.fromkeys(keys):
-        if key not in store:
-            try:
-                todo.append((key,) + build(key, shared))
-            except Exception as exc:    # the key's own failure, for its reader
-                failed[key] = exc
+    for key in dict.fromkeys(missing):
+        try:
+            todo.append((key,) + build(key, shared))
+        except Exception as exc:    # the key's own failure, for its reader
+            failed[key] = exc
     results = iter(integrate_batch([job for _, jobs, _ in todo for job in jobs],
                                    tol))
     for key, jobs, scale in todo:
@@ -225,17 +224,17 @@ def _kernel_pieces(fn: FnTriple, anchor: float, x: float, lam: float,
     pows = shared.setdefault(("pow", k), {})
     derivs = shared.setdefault(("ddf", fn, anchor, x), {})
 
-    # Python's pow and one scalar f'' per node: numpy's array ** and a
-    # vector f'' can differ from them in the last bit.  ravel lets the
-    # evaluator's scalar retry re-raise an error from ddf.
+    # Python's pow and one scalar f'' per node, mapped at C level: numpy's
+    # array ** and a vector f'' can differ from them in the last bit.
+    # ravel lets the evaluator's scalar retry re-raise an error from ddf.
     def g(ts):
         ts = np.ravel(ts)
-        key = ts.tobytes()
+        key, n = ts.tobytes(), len(ts)
         if key not in pows:
-            pows[key] = np.array([t ** k for t in ts.tolist()])
+            pows[key] = np.fromiter(map(pow, ts.tolist(), repeat(k)), float, n)
         if key not in derivs:
-            derivs[key] = np.array([float(ddf(anchor + t * span))
-                                    for t in ts.tolist()])
+            derivs[key] = np.fromiter(map(ddf, (anchor + ts * span).tolist()),
+                                      float, n)
         return ts * (c - pows[key]) * derivs[key]
 
     return [(g, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]

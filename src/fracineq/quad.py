@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, EvaluationError
 
 _EPS = float(np.finfo(float).eps)
+_FLOOR = 50.0 * _EPS    # a rule's error never reads below _FLOOR resabs half
 LOOKAHEAD = 5   # levels down its bisection path a native job samples ahead
 
 # Kronrod-15 abscissae (positive half) and weights, Gauss-7 weights.
@@ -194,12 +195,12 @@ class _Job:
             self.split = (v, e)
             at_lo, at_hi = a == self.lo, b == self.hi
             left = at_lo if at_lo != at_hi else a == self.todo[0][0]
-            self.todo = todo = ((a, mid), (mid, b))
+            self.todo = todo = [(a, mid), (mid, b)]
             if not (todo[0] in self.ahead and todo[1] in self.ahead):
                 for _ in range(LOOKAHEAD if self.ev.native else 0):
                     a, b = (a, mid) if left else (mid, b)
                     mid = 0.5 * (a + b)
-                    self.todo += ((a, mid), (mid, b))
+                    todo += (a, mid), (mid, b)
                 return None
             rules = [self.ahead.pop(iv) for iv in todo]
 
@@ -237,14 +238,16 @@ class _Job:
 
 def _rule(resabs: float, resk: float, resg: float, resasc: float,
           half: float) -> tuple[float, float]:
-    """(value, error) of one GK 7/15 pass, from its weighted sample sums."""
+    """(value, error) of one GK 7/15 pass, from its weighted sample sums; half > 0.
+    The error is resasc min(1, r^1.5): r >= 1 and a NaN r give resasc."""
     err = abs((resk - resg) * half)
-    resasc *= abs(half)
+    resasc *= half
     if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        r = 200.0 * err / resasc
+        err = resasc * r ** 1.5 if r < 1.0 else resasc
     # never claim accuracy below the round-off floor of the samples
-    err = max(err, 50.0 * _EPS * resabs * abs(half))
-    return resk * half, err
+    floor = _FLOOR * resabs * half
+    return resk * half, floor if floor > err else err
 
 
 def _gk15_round(live: list) -> list:
@@ -262,7 +265,8 @@ def _gk15_round(live: list) -> list:
         for lo, hi in job.todo:
             mid.append(0.5 * (lo + hi))
             half.append(0.5 * (hi - lo))
-    nodes = np.array(mid)[:, None] + np.array(half)[:, None] * _NODES
+    nodes = np.multiply.outer(half, _NODES)
+    nodes += np.array(mid)[:, None]
     r = 0
     for job in live:
         n = len(job.todo)

@@ -1,7 +1,8 @@
 """Helpers shared by the test modules: the stock parameter grid, a
 finite-difference check of a corpus entry's derivatives, the whole-grid
-admission check that the slab loop must match bit for bit, and the
-uncorrected printed closed forms of phi3 and phi4 (the errata reference)."""
+admission check that the slab loop must match bit for bit, the
+uncorrected printed closed forms of phi3 and phi4 (the errata reference),
+and the two-call GK15 rule that quad._rule must match bit for bit."""
 
 import numpy as np
 
@@ -121,3 +122,23 @@ def phi4_literal(kappa: float, lam: float, p: float) -> float:
     first = c ** expo / kappa * beta((1.0 + p) / kappa, 1.0 + p)
     return first + (1.0 - c) ** (p + 1.0) / (p + 1.0) \
         * hyp2f1(1.0 - (1.0 + p) / kappa, 1.0, p + 2.0, 1.0 - c)
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def rule_reference(resabs: float, resk: float, resg: float, resasc: float,
+                   half: float) -> tuple:
+    """quad._rule as abs(half), min(1, r ** 1.5) and max(err, floor).
+
+    quad._rule drops the abs (half is never negative), takes resasc itself
+    for r >= 1 or a NaN r, and picks the floor with one comparison; it must
+    return the same bits.  This form raises OverflowError where r ** 1.5
+    passes the float range.
+    """
+    err = abs((resk - resg) * half)
+    resasc *= abs(half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    err = max(err, 50.0 * _EPS * resabs * abs(half))
+    return resk * half, err

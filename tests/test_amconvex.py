@@ -236,11 +236,23 @@ def test_slab_loop_matches_the_whole_grid_on_the_scalar_fallback(monkeypatch):
 @pytest.mark.parametrize("grid", [
     (17, 41, 33),       # 8-row slabs: 8, 8, 1
     (1, 41, 33),
-    (4, 120, 101),      # one x-row is more than a slab: one row per slab
+    (4, 120, 101),      # one y-t plane is more than a slab: 118 + 2 y-values
+    (6, 200, 200),      # 60-y-value slabs: 60, 60, 60, 20 per x-row
 ])
 def test_slab_loop_matches_the_whole_grid_on_other_grids(grid):
     for g, alpha, m in _admission_cases():
         _assert_matches_reference(g, alpha, m, (0.0, 0.9), grid)
+
+
+@pytest.mark.parametrize("slab", (33, 34, 5 * 33, 40 * 33))
+def test_y_slabs_match_the_whole_grid(monkeypatch, slab):
+    # slabs smaller than one y-t plane split each x-row along y, in
+    # y-slabs of 1, 1, 5 and 40 values (the last leaves one over)
+    monkeypatch.setattr(amconvex, "SLAB_SAMPLES", slab)
+    for g, alpha, m in _admission_cases():
+        _assert_matches_reference(g, alpha, m, (0.0, 0.7))
+    one = lambda u: np.ones_like(np.asarray(u, dtype=float))
+    assert _assert_matches_reference(one, 1.0, 0.5).worst_point == (0.0, 0.0, 0.0)
 
 
 def test_non_finite_value_in_the_last_x_row_is_reported():
@@ -254,11 +266,9 @@ def test_non_finite_value_in_the_last_x_row_is_reported():
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="counts minor page faults with getrusage")
-def test_default_grid_checks_make_no_page_faults_after_warm_up():
-    # every temporary of a slab stays under glibc's mmap threshold, so the
-    # checks reuse heap pages; whole-grid temporaries cost ~400 faults each
+def _minor_faults_in_20_checks(grid):
+    """Minor page faults of 20 checks on grid after 3 warm-up checks, in a
+    fresh interpreter."""
     script = textwrap.dedent("""
         import resource
         import numpy as np
@@ -268,16 +278,33 @@ def test_default_grid_checks_make_no_page_faults_after_warm_up():
                   (np.sqrt, 0.5, 1.0), (np.exp, 1.0, 1.0)]
         def run(n):
             for i in range(n):
-                g, alpha, m = checks[i % len(checks)]
-                check_am_convex(g, alpha, m, (0.0, 0.8))
+                g, alpha, m = checks[i %% len(checks)]
+                check_am_convex(g, alpha, m, (0.0, 0.8), %r)
         run(3)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         run(20)
         print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    """)
+    """ % (grid,))
     src = os.path.dirname(os.path.dirname(os.path.abspath(fracineq.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    faults = int(out.stdout)
+    return int(out.stdout)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults with getrusage")
+def test_default_grid_checks_make_no_page_faults_after_warm_up():
+    # every temporary of a slab stays under glibc's mmap threshold, so the
+    # checks reuse heap pages; whole-grid temporaries cost ~400 faults each
+    faults = _minor_faults_in_20_checks(DEFAULT_GRID)
+    assert faults <= 10 * 20, "%d minor page faults in 20 checks" % faults
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults with getrusage")
+def test_large_y_t_plane_checks_make_no_page_faults_after_warm_up():
+    # one 200 x 200 y-t plane is more than a slab, so slabs split it along
+    # y; whole x-row slabs made about 560 faults per check here
+    faults = _minor_faults_in_20_checks((6, 200, 200))
     assert faults <= 10 * 20, "%d minor page faults in 20 checks" % faults

@@ -13,13 +13,15 @@ import math
 import numpy as np
 import pytest
 
-from fracineq import (AdmissionError, DomainError, Params, beta, beta_inc,
+from fracineq import (AdmissionError, ConvergenceError, DomainError, Params,
+                      beta, beta_inc,
                       bound_sarikaya, bound_thm211, bound_thm22,
                       corpus_by_name, direct_side, phi1, phi2, phi3,
                       phi, phi4, phi_oracle, remark_bound)
 from fracineq.amconvex import FnTriple
-from fracineq.bounds import (_ORACLE_TOL, fill_phi_oracles, remark_phi1,
-                             remark_phi2, remark_phi3)
+from fracineq.bounds import (_ORACLE_TOL, PHI4_TAIL_BUDGET, fill_phi_oracles,
+                             remark_phi1, remark_phi2, remark_phi3)
+from fracineq.specfun import hyp2f1_result
 from fracineq.quad import integrate
 
 from conftest import phi3_literal, phi4_literal
@@ -241,6 +243,18 @@ def test_phi_domain_errors():
         phi4(1.0, 0.5, 1.0)   # Hoelder conjugate must exceed 1
     with pytest.raises(DomainError):
         phi_oracle(5, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("lam", (1e-12, 1e-6))
+def test_phi4_raises_where_its_2f1_series_is_cut_short(lam):
+    # near z = 1 the middle branch's 2F1 series stops at its term cap; the
+    # values it returned were off the oracle by 7.3e-7 and 5.8e-7
+    with pytest.raises(ConvergenceError) as exc:
+        phi4(8.0, lam, 1.01)
+    assert "tail estimate" in str(exc.value)
+    c = 9.0 * lam
+    tail = hyp2f1_result(1.0 - 2.01 / 8.0, 1.0, 3.01, 1.0 - c).abs_error_estimate
+    assert tail * (1.0 - c) ** 2.01 / (8.0 * 2.01) > PHI4_TAIL_BUDGET
 
 
 # --- theorem bounds ------------------------------------------------------

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -236,6 +238,58 @@ def test_sweep_summary_worst_tightness(tmp_path):
     with open(out, newline="") as fh:
         best = max(float(r["tightness"]) for r in csv.DictReader(fh))
     assert summary.worst_tightness == best <= 1.0
+
+
+def test_sweep_rows_are_the_bytes_csv_writer_writes(tmp_path, monkeypatch):
+    # run_sweep writes each row as one string; a stub producer's signed
+    # zeros, infinities, NaN and repeated values must come out as
+    # csv.writer writes the same cells
+    import io
+    from fracineq.harness import _fmt, _fmt_bool
+    inf, nan = math.inf, math.nan
+    stub_rows = [("identity", -0.0, 0.0, True, inf, nan),
+                 ("identity", -inf, nan, False, 0.0, -0.0),
+                 ("thm211", 0.1, 0.1, True, 0.1, 0.1),
+                 ("corollary:2a-b", 1e308, 5e-324, False, -1.5, 1.0)]
+    calls = []
+
+    def stub(pt, prm, fn, memo):
+        calls.append((pt, fn.name))
+        return stub_rows
+
+    monkeypatch.setitem(fracineq.harness._CHECKS, "identity", stub)
+    out = tmp_path / "rows.csv"
+    cfg = small_config(checks=("identity",), fns=("exp", "cubic/6"),
+                       x=(0.0, 0.5), lam=(0.0, -0.0, 0.5))
+    summary = run_sweep(cfg, str(out))
+    assert summary.rows_total == len(calls) * len(stub_rows) == 48
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(CSV_COLUMNS)
+    for pt, name in calls:
+        for which, lhs, rhs, ok, tight, res in stub_rows:
+            writer.writerow([which, name, *map(_fmt, pt), _fmt(lhs), _fmt(rhs),
+                             _fmt_bool(ok), _fmt(tight), _fmt(res)])
+    assert out.read_bytes() == want.getvalue().encode("utf-8")
+
+
+def test_no_sweep_field_needs_csv_quoting(tmp_path):
+    # run_sweep writes its rows unquoted, which is right only while no
+    # name it writes holds a delimiter, a quote or a line break
+    from fracineq.bounds import COROLLARY_IDS
+    from fracineq.harness import _SWEEP_CHECKS
+    names = set(corpus_by_name()) | set(_SWEEP_CHECKS) | {"-"}
+    names |= {"corollary:" + cid for cid in COROLLARY_IDS}
+    names |= {"phi%d" % n for n in (1, 2, 3, 4)}
+    names |= {"thm211", "thm22", "sarikaya", "remark"}
+    for name in names | set(COROLLARY_IDS):
+        assert not set(name) & set(',"\r\n'), name
+    # every check and fn cell a sweep of all seven checks writes is one of them
+    out = str(tmp_path / "rows.csv")
+    run_sweep(parse_sweep_config(SMALL_SWEEP_CFG), out)
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["check"] for r in rows} | {r["fn"] for r in rows} <= names
 
 
 # --- one evaluation per identity point -----------------------------------
@@ -584,6 +638,21 @@ def test_cli_phi_and_oracle(capsys):
                  "--oracle"]) == 0
     out = capsys.readouterr().out
     assert "oracle" in out
+
+
+def test_cli_phi4_truncated_series_exits_1_without_a_traceback():
+    # the middle branch's 2F1 series near z = 1 leaves a tail estimate of
+    # about 10 here; phi4 raises ConvergenceError rather than return it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        fracineq.harness.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "fracineq.harness", "phi", "4", "--kappa", "8",
+         "--lambda", "1e-12", "--p", "1.01"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert out.returncode == 1
+    assert out.stderr.startswith("numerical failure: ")
+    assert "Traceback" not in out.stderr and out.stdout == ""
 
 
 def test_cli_identity_check(capsys):

@@ -1,10 +1,11 @@
 import math
+import struct
 
 import pytest
 
 from fracineq import DomainError, EvaluationError, ConvergenceError
-from fracineq.quad import (QuadResult, Tolerance, integrate, integrate_batch,
-                           integrate_singular)
+from fracineq.quad import (_EPS, QuadResult, Tolerance, _rule, integrate,
+                           integrate_batch, integrate_singular)
 
 
 @pytest.mark.parametrize("f,lo,hi,expect", [
@@ -381,3 +382,58 @@ def test_singular_both_ends_asymmetric():
     res = integrate_singular(lambda t: 1.0 + t, 0.0, 1.0, -0.3, 0.4)
     expect = beta(0.7, 1.4) + beta(1.7, 1.4)
     assert abs(res.value - expect) <= 1e-11
+
+
+# --- the one-branch GK15 rule against its two-call form ----------------------
+
+def _rule_bits(sums):
+    """_rule(*sums) and rule_reference(*sums) as packed doubles."""
+    from conftest import rule_reference
+    try:
+        want = rule_reference(*sums)
+    except OverflowError:
+        # r ** 1.5 passes the float range: r >= 1, so min(1, r^1.5) is 1
+        resabs, resk, _, resasc, half = sums
+        want = (resk * half, max(resasc * half, 50.0 * _EPS * resabs * half))
+    return struct.pack("<2d", *_rule(*sums)), struct.pack("<2d", *want)
+
+
+@pytest.mark.parametrize("sums", [
+    (3.0, 1.0, 0.0, 200.0, 1.0),            # r = 1 exactly
+    (3.0, 1.0, 0.0, 100.0, 1.0),            # r = 2
+    (3.0, 1.0, 0.0, 5e-324, 1.0),           # r = inf
+    (3.0, 1.0, 0.0, 2e-298, 1.0),           # r = 1e300: r ** 1.5 overflows
+    (3.0, 1e-3, 0.0, 7.0, 0.25),            # r < 1
+    (3.0, 1.0, 0.5, 0.0, 1.0),              # resasc = 0
+    (3.0, 0.5, 0.5, 7.0, 1.0),              # err = 0
+    (3.0, math.nan, 0.5, 7.0, 1.0),         # NaN sum: NaN r
+    (math.nan, 0.5, 0.25, math.nan, 1.0),   # NaN resabs and resasc
+    (3.0, math.inf, 0.5, 7.0, 1.0),         # inf sum: r = inf
+    (3.0, 0.5, 0.25, math.inf, 1.0),        # inf resasc: inf * 0
+    (math.inf, 0.5, 0.25, 7.0, 1e-3),       # inf floor
+    (3.0, 0.5, 0.25, 7.0, 0.0),             # half = +0.0
+    (1e308, 1e308, -1e308, 1e308, 0.5),     # sums near 1e308: err overflows
+    (1e308, 1e308, 1e307, 1e308, 1e-3),
+    (1.7e308, 1e308, 9e307, 1e-300, 1.0),
+])
+def test_rule_matches_its_two_call_form_on_pinned_sums(sums):
+    got, want = _rule_bits(sums)
+    assert got == want, sums
+
+
+def test_rule_matches_its_two_call_form_on_random_sums():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # resabs and resasc sum |samples|: never negative, maybe inf or NaN
+    nonneg = st.one_of(st.floats(min_value=0.0),
+                       st.sampled_from((math.inf, math.nan)))
+
+    @hyp.settings(max_examples=500, deadline=None, database=None)
+    @hyp.given(nonneg, st.floats(), st.floats(), nonneg,
+               st.floats(min_value=0.0, max_value=1e308))
+    def check(resabs, resk, resg, resasc, half):
+        sums = (resabs, resk, resg, resasc, half)
+        got, want = _rule_bits(sums)
+        assert got == want, sums
+
+    check()
