@@ -335,9 +335,10 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
                                   file=sys.stderr)
                             continue
                         which, lhs, rhs, ok, tight, res = row
-                        fh.write("%s,%s,%s,%s,%s,%s,%s,%s\r\n" % (
-                            which, fn_name, cells, _fmt(lhs), _fmt(rhs),
-                            _fmt_bool(ok), _fmt(tight), _fmt(res)))
+                        # %.17g writes what _fmt does
+                        fh.write("%s,%s,%s,%.17g,%.17g,%s,%.17g,%.17g\r\n" % (
+                            which, fn_name, cells, lhs, rhs, _fmt_bool(ok),
+                            tight, res))
                         total += 1
                         held += ok
                         worst_tight = max(worst_tight, tight)
