@@ -137,7 +137,7 @@ class _Job:
                  hi: float):
         self.slot, self.lo, self.hi = slot, lo, hi
         self.ev = _Evaluator(f)
-        self.todo = ((lo, hi),)     # intervals to sample this round
+        self.todo = [(lo, hi)]      # intervals to sample this round
         self.split = None           # (value, error) of the interval bisected
         self.heap, self.nsub = [], 0
         self.ahead = {}             # (lo, hi) -> rule of a lookahead row
@@ -238,7 +238,7 @@ class _Job:
 
 def _rule(resabs: float, resk: float, resg: float, resasc: float,
           half: float) -> tuple[float, float]:
-    """(value, error) of one GK 7/15 pass, from its weighted sample sums; half > 0.
+    """(value, error) of one GK 7/15 pass, from its weighted sample sums; half >= 0.
     The error is resasc min(1, r^1.5): r >= 1 and a NaN r give resasc."""
     err = abs((resk - resg) * half)
     resasc *= half
