@@ -68,11 +68,13 @@ def _phi1_above(kappa, lam):
     return 0.5 * c - 1.0 / (kappa + 2.0)
 
 
+def _by_kink(below, above, kappa, lam, *args):
+    return (below if lam <= 1.0 / (kappa + 1.0) else above)(kappa, lam, *args)
+
+
 def phi1(kappa: float, lam: float) -> float:
     _check_kl(kappa, lam)
-    if lam <= 1.0 / (kappa + 1.0):
-        return _phi1_below(kappa, lam)
-    return _phi1_above(kappa, lam)
+    return _by_kink(_phi1_below, _phi1_above, kappa, lam)
 
 
 def _phi2_below(kappa, lam, alpha):
@@ -90,9 +92,7 @@ def _phi2_above(kappa, lam, alpha):
 def phi2(kappa: float, lam: float, alpha: float) -> float:
     _check_kl(kappa, lam)
     check_unit_interval("alpha", alpha)
-    if lam <= 1.0 / (kappa + 1.0):
-        return _phi2_below(kappa, lam, alpha)
-    return _phi2_above(kappa, lam, alpha)
+    return _by_kink(_phi2_below, _phi2_above, kappa, lam, alpha)
 
 
 def _phi3_below(kappa, lam, alpha):
@@ -114,9 +114,7 @@ def phi3(kappa: float, lam: float, alpha: float) -> float:
     """Corrected closed form (constant-term numerator alpha)."""
     _check_kl(kappa, lam)
     check_unit_interval("alpha", alpha)
-    if lam <= 1.0 / (kappa + 1.0):
-        return _phi3_below(kappa, lam, alpha)
-    return _phi3_above(kappa, lam, alpha)
+    return _by_kink(_phi3_below, _phi3_above, kappa, lam, alpha)
 
 
 def _check_p(p: float) -> None:
@@ -303,7 +301,9 @@ def _require_admitted(fn: FnTriple, alpha: float, m: float, q: float,
 
 def _coefs(p: Params) -> tuple[float, float]:
     w, k = p.width, p.kappa
-    return tuple(gap ** (k + 2.0) / ((k + 1.0) * w) for gap in (p.x - p.a, p.mb - p.x))
+    c1 = (p.x - p.a) ** (k + 2.0) / ((k + 1.0) * w)
+    c2 = (p.mb - p.x) ** (k + 2.0) / ((k + 1.0) * w)
+    return c1, c2
 
 
 def _second_derivs(p: Params, fn: FnTriple, memo: dict | None) -> tuple:
@@ -439,7 +439,8 @@ def bound_sarikaya(fn: FnTriple, a: float, b: float, lam: float, q: float,
     from memo when one is given.
     """
     _check_classical(fn, a, b, lam, q)
-    da, db = (abs(float(fn.ddf(u))) for u in (a, b))
+    da = abs(float(fn.ddf(a)))
+    db = abs(float(fn.ddf(b)))
     low = lam <= 0.5
     pref, ca, cb = (_sarikaya_terms_low if low else _sarikaya_terms_high)(lam)
     g1 = (ca * da ** q + cb * db ** q) ** (1.0 / q)
@@ -477,7 +478,10 @@ def remark_bound(fn: FnTriple, a: float, b: float, lam: float, q: float,
     The lhs is taken from memo when one is given.
     """
     _check_classical(fn, a, b, lam, q)
-    dm, da, db = (abs(float(fn.ddf(u))) for u in (0.5 * (a + b), a, b))
+    mid = 0.5 * (a + b)
+    dm = abs(float(fn.ddf(mid)))
+    da = abs(float(fn.ddf(a)))
+    db = abs(float(fn.ddf(b)))
     r1, r2, r3 = remark_phi1(lam), remark_phi2(lam), remark_phi3(lam)
     g1 = (dm ** q * r2 + da ** q * r3) ** (1.0 / q)
     g2 = (dm ** q * r2 + db ** q * r3) ** (1.0 / q)
@@ -495,12 +499,7 @@ def remark_bound(fn: FnTriple, a: float, b: float, lam: float, q: float,
 # repairs, any mismatch.
 
 @dataclass(frozen=True)
-class CorollaryReport:
-    which: str
-    lhs: float
-    rhs: float            # authoritative: the scaled general bound
-    holds: bool
-    tightness: float
+class CorollaryReport(BoundReport):
     printed_rhs: float
     general_rhs: float
     discrepancy: float
@@ -586,7 +585,8 @@ def _printed_2a_h(p: Params, fn: FnTriple, memo: dict | None) -> float:
 
 
 def _printed_2b_a(p: Params, fn: FnTriple, memo: dict | None) -> float:
-    w, k, pp = p.width, p.kappa, p.q / (p.q - 1.0)
+    w, k = p.width, p.kappa
+    pp = p.q / (p.q - 1.0)
     ga, gb = _holder_inner(p, fn, memo)
     f4 = phi(4, k, p.lam, p=pp, memo=memo)
     return f4 ** (1.0 / pp) * w ** 2 / (8.0 * (k + 1.0)) * (ga + gb)
@@ -602,14 +602,16 @@ def _printed_2b_c(p: Params, fn: FnTriple, memo: dict | None) -> float:
 
 
 def _printed_2b_d(p: Params, fn: FnTriple, memo: dict | None) -> float:
-    w, k, pp = p.width, p.kappa, p.q / (p.q - 1.0)
+    w, k = p.width, p.kappa
+    pp = p.q / (p.q - 1.0)
     f4p = 1.0 / (pp * (k + 1.0) + 1.0)
     ga, gb = _holder_inner(p, fn, memo)
     return w ** 2 / 16.0 * f4p ** (1.0 / pp) * (ga + gb)
 
 
 def _printed_2b_e(p: Params, fn: FnTriple, memo: dict | None) -> float:
-    w, k, pp = p.width, p.kappa, p.q / (p.q - 1.0)
+    w, k = p.width, p.kappa
+    pp = p.q / (p.q - 1.0)
     f4p = (1.0 + k) ** ((pp * (k + 1.0) + 1.0) / k) / k \
         * _beta_inc(memo, 1.0 / (1.0 + k), (1.0 + pp) / k, 1.0 + pp)
     ga, gb = _holder_inner(p, fn, memo)
@@ -732,17 +734,25 @@ def corollary_check(cid: str, p: Params, fn: FnTriple,
     if unmet is not None:
         raise DomainError(unmet)
 
-    base = (bound_thm211 if spec.family == "pm" else bound_thm22)(p, fn, memo=memo)
+    if spec.family == "pm":
+        base = bound_thm211(p, fn, memo=memo)
+    else:
+        base = bound_thm22(p, fn, memo=memo)
     scale = 1.0 if cid == "2a-a" else (2.0 / p.width) ** (p.kappa - 1.0)
     lhs = scale * base.lhs
     general_rhs = scale * base.rhs
     printed_rhs = float(spec.printed(p, fn, memo))
     discrepancy = abs(printed_rhs - general_rhs)
+    matches = discrepancy <= COROLLARY_MATCH_TOL
     return CorollaryReport(
-        which="corollary:" + cid, lhs=lhs, rhs=general_rhs,
+        which="corollary:" + cid,
+        lhs=lhs,
+        rhs=general_rhs,
         holds=lhs <= general_rhs + HOLDS_SLACK,
         tightness=_tightness(lhs, general_rhs),
-        printed_rhs=printed_rhs, general_rhs=general_rhs,
+        printed_rhs=printed_rhs,
+        general_rhs=general_rhs,
         discrepancy=discrepancy,
-        matches_printed=discrepancy <= COROLLARY_MATCH_TOL,
-        typo_suspect=spec.typo_suspect, note=spec.note)
+        matches_printed=matches,
+        typo_suspect=spec.typo_suspect,
+        note=spec.note)

@@ -28,8 +28,6 @@ def rl_job(f: Callable[[float], float], anchor: float, kappa: float,
     """
     if not (kappa >= 0.0) or not math.isfinite(kappa):
         raise DomainError("fractional order must satisfy kappa >= 0, got %r" % (kappa,))
-    if kappa == 0.0:
-        raise DomainError("J^0 f = f needs no quadrature")
     if left:
         if not x > anchor:
             raise DomainError("rl_left requires x > a, got a=%r x=%r"

@@ -135,18 +135,20 @@ def memoized_integrals(memo: dict | None, keys: list, build,
     build raises, or one of whose jobs fails, gets that error (the first
     in job order) in place of a QuadResult and is not stored: its next
     reader computes it again and gets the same error.  When every key is
-    in memo no job is built.
+    in memo this is one lookup per key.
     """
     store = {} if memo is None else memo
-    missing = [key for key in keys if key not in store]
-    if not missing:
+    try:
         return [store[key] for key in keys]
+    except KeyError:
+        pass
     failed, todo, shared = {}, [], {}
-    for key in dict.fromkeys(missing):
-        try:
-            todo.append((key,) + build(key, shared))
-        except Exception as exc:    # the key's own failure, for its reader
-            failed[key] = exc
+    for key in dict.fromkeys(keys):
+        if key not in store:
+            try:
+                todo.append((key,) + build(key, shared))
+            except Exception as exc:    # the key's own failure, for its reader
+                failed[key] = exc
     results = iter(integrate_batch([job for _, jobs, _ in todo for job in jobs],
                                    tol))
     for key, jobs, scale in todo:

@@ -376,14 +376,7 @@ def _is_nonneg_integer(p: float) -> bool:
 
 
 def _one_sided(g, A: float, B: float, p: float, at_lower: bool) -> tuple:
-    """The (h, lo, hi) job of g(t) * |t - endpoint|^p, weight anchored at A or B."""
-    if _is_nonneg_integer(p):
-        n = int(round(p))
-        if at_lower:
-            w = lambda t: g(t) * (t - A) ** n
-        else:
-            w = lambda t: g(t) * (B - t) ** n
-        return w, A, B
+    """The substituted (h, lo, hi) job of g(t) * |t - endpoint|^p, anchored at A or B."""
     k = max(2, math.ceil(4.0 / (p + 1.0)))  # k (p+1) - 1 >= 3: C^3 at v = 0
     vmax = (B - A) ** (1.0 / k)
     expo = k * (p + 1.0) - 1.0
@@ -398,10 +391,10 @@ def singular_jobs(f: Callable[[float], float], lo: float, hi: float,
                   p_lo: float, p_hi: float) -> list:
     """The (h, lo, hi) jobs of integrate_singular, after its argument checks.
 
-    None when hi == lo; one, run at the caller's tolerance, when at most
-    one endpoint weight is singular; two, each at half the absolute
-    tolerance, when both are.  The sum of their results, in order, is
-    the weighted integral.
+    One, run at the caller's tolerance, when at most one endpoint weight
+    is singular; two, each at half the absolute tolerance, when both are.
+    The sum of their results, in order, is the weighted integral (0 when
+    hi == lo: every job is then empty).
     """
     if not (math.isfinite(p_lo) and math.isfinite(p_hi)):
         raise DomainError("weight exponents must be finite")
@@ -410,8 +403,6 @@ def singular_jobs(f: Callable[[float], float], lo: float, hi: float,
             "weight exponent <= -1 is non-integrable: p_lo=%g p_hi=%g"
             % (p_lo, p_hi))
     _check_interval(lo, hi)
-    if hi == lo:
-        return []
 
     smooth_lo = _is_nonneg_integer(p_lo)
     smooth_hi = _is_nonneg_integer(p_hi)
@@ -447,7 +438,7 @@ def integrate_singular(f: Callable[[float], float], lo: float, hi: float,
     tol = tol if tol is not None else _DEFAULT_TOL
     jobs = singular_jobs(f, lo, hi, p_lo, p_hi)
     if len(jobs) < 2:
-        return integrate(*jobs[0], tol) if jobs else _NO_WORK
+        return integrate(*jobs[0], tol)
     half_tol = Tolerance(tol.abs_tol * 0.5, tol.rel_tol, tol.max_subdiv)
     r1, r2 = [integrate(*job, half_tol) for job in jobs]
     return QuadResult(r1.value + r2.value,

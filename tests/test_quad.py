@@ -375,6 +375,18 @@ def test_nonintegrable_weight_rejected():
         integrate_singular(lambda t: 1.0, 0.0, 1.0, 0.0, -1.5)
 
 
+@pytest.mark.parametrize("p_lo,p_hi", [
+    (0.0, 0.0), (2.0, -0.5), (-0.5, 1.0), (-0.5, -0.5), (0.5, 0.3)])
+def test_weighted_integral_over_an_empty_interval_is_zero(p_lo, p_hi):
+    # every weight shape: no sample is taken, and the result is exactly 0
+    calls = []
+    res = integrate_singular(lambda t: calls.append(t) or 1.0, 0.5, 0.5,
+                             p_lo, p_hi)
+    assert res == QuadResult(0.0, 0.0, 0)
+    assert math.copysign(1.0, res.value) == 1.0
+    assert not calls
+
+
 def test_singular_both_ends_asymmetric():
     # Beta(0.7, 1.4) with a non-constant smooth factor
     from fracineq import beta
