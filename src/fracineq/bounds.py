@@ -203,7 +203,7 @@ def _oracle_spec(key: tuple, shared: dict) -> tuple:
     Splits at the kink t*; within each segment the kernel sign is fixed,
     so no abs() enters the integrand.
     """
-    _, _, which, kappa, lam, alpha = key
+    _, which, kappa, lam, alpha = key
     p = alpha       # the key's last slot: alpha for phi2/phi3, p for phi4
     _check_kl(kappa, lam)
     _check_which(which, alpha, p)
@@ -237,7 +237,6 @@ def _oracle_spec(key: tuple, shared: dict) -> tuple:
 
 def phi_oracle(which: int, kappa: float, lam: float, *,
                alpha: float | None = None, p: float | None = None,
-               tol: Tolerance | None = None,
                memo: dict | None = None) -> float:
     """Evaluate the defining integral of phi<which> by quadrature.
 
@@ -247,9 +246,8 @@ def phi_oracle(which: int, kappa: float, lam: float, *,
     computed once per sweep (fill_phi_oracles computes many in one batch).
     """
     _check_which(which, alpha, p)     # before which enters a memo key
-    tol = tol if tol is not None else _ORACLE_TOL
-    key = ("phi-oracle", tol) + _moment_key(which, kappa, lam, alpha, p)
-    res, = memoized_integrals(memo, [key], _oracle_spec, tol)
+    key = ("phi-oracle",) + _moment_key(which, kappa, lam, alpha, p)
+    res, = memoized_integrals(memo, [key], _oracle_spec, _ORACLE_TOL)
     if isinstance(res, Exception):
         raise res
     return res.value
@@ -258,7 +256,7 @@ def phi_oracle(which: int, kappa: float, lam: float, *,
 def fill_phi_oracles(specs, memo: dict) -> None:
     """Compute phi_oracle of each (which, kappa, lam, alpha, p) of specs
     not in memo, at the default tolerance, in one memoized_integrals call."""
-    keys = [("phi-oracle", _ORACLE_TOL) + _moment_key(*spec) for spec in specs]
+    keys = [("phi-oracle",) + _moment_key(*spec) for spec in specs]
     memoized_integrals(memo, keys, _oracle_spec, _ORACLE_TOL)
 
 
@@ -501,7 +499,6 @@ def remark_bound(fn: FnTriple, a: float, b: float, lam: float, q: float,
 @dataclass(frozen=True)
 class CorollaryReport(BoundReport):
     printed_rhs: float
-    general_rhs: float
     discrepancy: float
     matches_printed: bool
     typo_suspect: bool
@@ -739,20 +736,12 @@ def corollary_check(cid: str, p: Params, fn: FnTriple,
     else:
         base = bound_thm22(p, fn, memo=memo)
     scale = 1.0 if cid == "2a-a" else (2.0 / p.width) ** (p.kappa - 1.0)
-    lhs = scale * base.lhs
-    general_rhs = scale * base.rhs
+    rep = _report("corollary:" + cid, scale * base.lhs, scale * base.rhs)
     printed_rhs = float(spec.printed(p, fn, memo))
-    discrepancy = abs(printed_rhs - general_rhs)
-    matches = discrepancy <= COROLLARY_MATCH_TOL
-    return CorollaryReport(
-        which="corollary:" + cid,
-        lhs=lhs,
-        rhs=general_rhs,
-        holds=lhs <= general_rhs + HOLDS_SLACK,
-        tightness=_tightness(lhs, general_rhs),
-        printed_rhs=printed_rhs,
-        general_rhs=general_rhs,
-        discrepancy=discrepancy,
-        matches_printed=matches,
-        typo_suspect=spec.typo_suspect,
-        note=spec.note)
+    discrepancy = abs(printed_rhs - rep.rhs)
+    return CorollaryReport(**vars(rep),
+                           printed_rhs=printed_rhs,
+                           discrepancy=discrepancy,
+                           matches_printed=discrepancy <= COROLLARY_MATCH_TOL,
+                           typo_suspect=spec.typo_suspect,
+                           note=spec.note)

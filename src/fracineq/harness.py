@@ -186,7 +186,9 @@ def _classical(check, name):
 
 
 def _corollary_rows(prm, fn, memo):
-    # which ids apply reads only the Params, not the function
+    # the ids corollary_unmet lets through (it reads only the Params and checks
+    # thm22's q > 1 too) all reach one _theorem_lhs admission check next: the
+    # first id's skip is every id's, and it goes up to run_sweep
     ids = memoized(memo, ("corollary-ids", prm),
                    lambda: [cid for cid in bounds.COROLLARY_IDS
                             if bounds.corollary_unmet(cid, prm) is None])
@@ -194,8 +196,6 @@ def _corollary_rows(prm, fn, memo):
     for cid in ids:
         try:
             rep = bounds.corollary_check(cid, prm, fn, memo=memo)
-        except (DomainError, AdmissionError):
-            continue
         except _NUMERICAL_ERRORS as exc:
             rows.append(_Failed("corollary:" + cid, exc))
             continue
@@ -416,12 +416,12 @@ REMARK_TABLE_QS = (1.0, 2.0, 4.0)
 REMARK_TABLE_FNS = ("exp", "quart/12")
 
 
-def remark_comparison_table(a: float = 0.0, b: float = 1.0) -> list:
+def remark_comparison_table() -> list:
     """Rows comparing the remark bound with the sarikaya baseline.
 
-    kappa = m = alpha = 1 throughout; both right-hand sides bound the
-    same quantity, so each row records whether each holds and which is
-    smaller.  Nothing asserts superiority; that column is informational.
+    On [0, 1] with kappa = m = alpha = 1; both right-hand sides bound
+    the same quantity, so each row records whether each holds and which
+    is smaller.  Nothing asserts superiority; that column is informational.
     """
     by_name = corpus_by_name()
     rows = []
@@ -429,8 +429,8 @@ def remark_comparison_table(a: float = 0.0, b: float = 1.0) -> list:
         fn = by_name[fn_name].fn
         for lam in REMARK_TABLE_LAMBDAS:
             for q in REMARK_TABLE_QS:
-                rem = bounds.remark_bound(fn, a, b, lam, q)
-                sar = bounds.bound_sarikaya(fn, a, b, lam, q)
+                rem = bounds.remark_bound(fn, 0.0, 1.0, lam, q)
+                sar = bounds.bound_sarikaya(fn, 0.0, 1.0, lam, q)
                 rows.append({
                     "fn": fn_name,
                     "lambda": _fmt(lam),

@@ -42,6 +42,7 @@ RESIDUAL_FLOOR = 1e-9
 RESIDUAL_BUDGET_FACTOR = 10.0
 
 SIDE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_subdiv=2000)
+_MISSING = object()     # memo.get's default: no stored value is this
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,10 @@ def memoized(memo: dict | None, key: tuple, compute):
     """
     if memo is None:
         return compute()
-    try:
-        return memo[key]
-    except KeyError:
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
         value = memo[key] = compute()
-        return value
+    return value
 
 
 def memoized_integrals(memo: dict | None, keys: list, build,

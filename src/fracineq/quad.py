@@ -34,6 +34,7 @@ from .errors import ConvergenceError, DomainError, EvaluationError
 _EPS = float(np.finfo(float).eps)
 _FLOOR = 50.0 * _EPS    # a rule's error never reads below _FLOOR resabs half
 LOOKAHEAD = 5   # levels down its bisection path a native job samples ahead
+WORK = [0, 0]   # GK15 rounds, rows sampled since import: read differences
 
 # Kronrod-15 abscissae (positive half) and weights, Gauss-7 weights.
 # The embedded Gauss nodes are every second Kronrod node.
@@ -265,6 +266,8 @@ def _gk15_round(live: list) -> list:
         for lo, hi in job.todo:
             mid.append(0.5 * (lo + hi))
             half.append(0.5 * (hi - lo))
+    WORK[0] += 1
+    WORK[1] += len(mid)
     nodes = np.multiply.outer(half, _NODES)
     nodes += np.array(mid)[:, None]
     r = 0

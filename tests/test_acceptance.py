@@ -157,12 +157,13 @@ def test_criterion_07_specialization_cross_checks():
 
     # known-defective prints: the mismatch must be detected and reported
     # with the general bound authoritative, not patched over
-    for cid, p in (("2a-d", pt(1.0 / 3.0, 1.0, 2.0)),
-                   ("2b-c", pt(1.0 / 3.0, 1.0, 2.0))):
+    # (at kappa = 1 the rhs is the theorem's own, unscaled)
+    for cid, p, general in (("2a-d", pt(1.0 / 3.0, 1.0, 2.0), bound_thm211),
+                            ("2b-c", pt(1.0 / 3.0, 1.0, 2.0), bound_thm22)):
         r = corollary_check(cid, p, exp)
         if r.matches_printed or not r.typo_suspect or not r.note:
             problems.append("%s not flagged" % cid)
-        if r.rhs != r.general_rhs or not r.holds:
+        if r.rhs != general(p, exp).rhs or not r.holds:
             problems.append("%s authority" % cid)
 
     # the general values feeding those two ids are oracle-confirmed here

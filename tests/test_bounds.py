@@ -17,7 +17,7 @@ from fracineq import (AdmissionError, ConvergenceError, DomainError, Params,
                       beta, beta_inc,
                       bound_sarikaya, bound_thm211, bound_thm22,
                       corpus_by_name, direct_side, phi1, phi2, phi3,
-                      phi, phi4, phi_oracle, remark_bound)
+                      phi, phi4, phi_oracle, quad, remark_bound)
 from fracineq.amconvex import FnTriple
 from fracineq.bounds import (_ORACLE_TOL, PHI4_TAIL_BUDGET, fill_phi_oracles,
                              remark_phi1, remark_phi2, remark_phi3)
@@ -88,15 +88,14 @@ def test_phi4_literal_drops_the_kappa_scale():
     assert abs(phi4(k, lam, p) - want) <= 1e-12
 
 
-def test_criterion_02_oracles_fit_in_4580_engine_rounds(monkeypatch):
+def test_criterion_02_oracles_fit_in_4580_engine_rounds():
     # the oracle integrals of acceptance criterion 2, counted as CI counts
     # the sweep's: native integrands bisect through their lookahead rows,
     # so most of the 13,166 splits need no round of their own (4,358;
     # one round per split would be 13,962)
     from test_acceptance import ALPHAS, KAPPAS_ORACLE, LAMS_ORACLE, PS
-    from test_quad import _count_rounds
 
-    seen = _count_rounds(monkeypatch)
+    start = quad.WORK[0]
     for k, lam in itertools.product(KAPPAS_ORACLE, LAMS_ORACLE):
         phi_oracle(1, k, lam)
         for al in ALPHAS:
@@ -104,7 +103,8 @@ def test_criterion_02_oracles_fit_in_4580_engine_rounds(monkeypatch):
             phi_oracle(3, k, lam, alpha=al)
         for p in PS:
             phi_oracle(4, k, lam, p=p)
-    assert seen[0] <= 4580, "%d GK15 rounds, limit 4580" % seen[0]
+    rounds = quad.WORK[0] - start
+    assert rounds <= 4580, "%d GK15 rounds, limit 4580" % rounds
 
 
 def _serial_oracle(which, kappa, lam, alpha=None, p=None):

@@ -87,7 +87,7 @@ def test_2aa_coefficient_defect():
     for kappa in (0.5, 1.0, 2.0):
         r = corollary_check("2a-a", mk(1.0 / 3.0, kappa, 1.0), FNS["exp"])
         assert not r.matches_printed
-        assert r.printed_rhs > r.general_rhs
+        assert r.printed_rhs > r.rhs
         assert r.holds  # the general bound itself is still valid
 
 
@@ -106,7 +106,7 @@ def test_2bc_missing_reciprocal_factor():
     assert not r.matches_printed
     # the printed expansion drops 1/(p+1) on its 2F1 term (p = conjugate
     # exponent = 2 here), so the printed phi4 block is too large
-    assert r.printed_rhs > r.general_rhs
+    assert r.printed_rhs > r.rhs
 
 
 @pytest.mark.parametrize("cid,kappa", [("2b-d", 0.5), ("2b-d", 2.0),
@@ -188,8 +188,7 @@ def test_admission_still_gates_corollaries():
 def test_report_fields_cohere():
     r = corollary_check("2b-a", mk(0.5, 2.0, 2.0), FNS["exp"])
     assert r.which == "corollary:2b-a"
-    assert r.rhs == r.general_rhs
-    assert abs(r.discrepancy - abs(r.printed_rhs - r.general_rhs)) <= 1e-18
+    assert abs(r.discrepancy - abs(r.printed_rhs - r.rhs)) <= 1e-18
     assert r.note
     assert 0.0 < r.tightness <= 1.0
 

@@ -451,6 +451,29 @@ def test_sweep_asks_which_corollaries_apply_once_per_params(tmp_path,
     assert unmet and set(unmet.values()) == {1}
 
 
+def test_sweep_skips_an_unadmitted_corollary_pair_on_its_first_id(
+        tmp_path, monkeypatch):
+    # six ids apply at this point, and exp is not admitted at m = 0.6: the
+    # first id's admission skip is every id's, so no other id is tried
+    raised = []
+    corollary_check = fracineq.bounds.corollary_check
+
+    def spy(cid, *args, **kw):
+        try:
+            return corollary_check(cid, *args, **kw)
+        except Exception:
+            raised.append(cid)
+            raise
+
+    monkeypatch.setattr(fracineq.bounds, "corollary_check", spy)
+    cfg = write_cfg(tmp_path, "a=0\nb=1\nm=0.6\nx=0.3\n"
+                              "lambda=0.3333333333333333\nkappa=1\nq=2\n"
+                              "fn=exp\ncheck=corollaries\n")
+    summary = run_sweep(parse_sweep_config(cfg), str(tmp_path / "r.csv"))
+    assert (summary.rows_total, summary.skipped, summary.failed) == (0, 1, 0)
+    assert raised == ["2a-b"]
+
+
 def test_sweep_keeps_the_rows_that_computed_when_some_overflow(
         tmp_path, capsys):
     # at q = 1.001 the Hoelder exponent p = 1001 overflows gamma: the
@@ -499,24 +522,17 @@ def test_sweep_calls_phi4_once_per_distinct_argument_set(tmp_path,
     assert calls and set(calls.values()) == {1}
 
 
-def test_small_sweep_gk15_rounds_are_pinned(tmp_path, monkeypatch):
+def test_small_sweep_engine_rounds_are_pinned(tmp_path):
     # every integral of the sweep runs in a few lockstep batches: one per
     # block for its RL integrals and kernel halves together, one for all
     # phi oracles; the Simpson average and incomplete betas run once per
     # distinct argument set.  The serial sweep took 57 rounds; separate
     # RL and kernel-half batches per block took 15.
-    rounds = []
-    gk15_round = fracineq.quad._gk15_round
-
-    def counted(live):
-        rounds.append(len(live))
-        return gk15_round(live)
-
-    monkeypatch.setattr(fracineq.quad, "_gk15_round", counted)
+    start = fracineq.quad.WORK[0]
     summary = run_sweep(parse_sweep_config(SMALL_SWEEP_CFG),
                         str(tmp_path / "r.csv"))
     assert summary.rows_total == 250
-    assert len(rounds) <= 10
+    assert fracineq.quad.WORK[0] - start <= 10
 
 
 def test_stock_sweep_samples_each_kernel_node_block_once(tmp_path,
@@ -711,16 +727,12 @@ def test_cli_bad_paths_exit_2_without_a_traceback(tmp_path, capsys, case):
         assert str(cfg) in err
 
 
-def test_cli_sweep_bad_out_fails_before_any_quadrature(tmp_path, capsys,
-                                                     monkeypatch):
-    rounds = []
-    gk15_round = fracineq.quad._gk15_round
-    monkeypatch.setattr(fracineq.quad, "_gk15_round",
-                        lambda live: rounds.append(live) or gk15_round(live))
+def test_cli_sweep_bad_out_fails_before_any_quadrature(tmp_path, capsys):
+    start = fracineq.quad.WORK[:]
     assert main(["sweep", "--config", SMALL_SWEEP_CFG,
                  "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert rounds == []
+    assert fracineq.quad.WORK == start
 
 
 def test_cli_remark_table_bad_out_fails_before_any_bound(tmp_path, capsys,

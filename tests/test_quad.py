@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from fracineq import DomainError, EvaluationError, ConvergenceError
+from fracineq import DomainError, EvaluationError, ConvergenceError, quad
 from fracineq.quad import (_EPS, QuadResult, Tolerance, _rule, integrate,
                            integrate_batch, integrate_singular)
 
@@ -207,32 +207,36 @@ def _serial_reference(f, lo, hi, tol):
     return QuadResult(value, err, nsub)
 
 
-def _count_rounds(monkeypatch):
-    """Wrap quad._gk15_round: the returned [rounds, rows sampled] counts on."""
-    from fracineq import quad
-
-    seen = [0, 0]
-    gk15_round = quad._gk15_round
-
-    def counted(live):
-        seen[0] += 1
-        seen[1] += sum(len(job.todo) for job in live)
-        return gk15_round(live)
-
-    monkeypatch.setattr(quad, "_gk15_round", counted)
-    return seen
+def _work_since(start):
+    """[GK15 rounds, rows sampled] since start, an earlier copy of quad.WORK."""
+    return [now - then for now, then in zip(quad.WORK, start)]
 
 
-def test_batch_matches_the_serial_loop_bit_for_bit(monkeypatch):
+def test_one_round_integral_adds_one_round_and_one_row():
+    start = quad.WORK[:]
+    res = integrate(lambda t: 2.0 * t + 1.0, 0.0, 1.0)
+    assert res.subdivisions == 0 and _work_since(start) == [1, 1]
+
+
+def test_a_batch_round_adds_one_round_and_a_row_per_job():
+    start = quad.WORK[:]
+    got = integrate_batch([(lambda t: 2.0 * t + 1.0, 0.0, 1.0),
+                           (lambda t: t * t, -1.0, 2.0),
+                           (math.cos, 0.0, 0.5)])
+    assert [res.subdivisions for res in got] == [0, 0, 0]
+    assert _work_since(start) == [1, 3]
+
+
+def test_batch_matches_the_serial_loop_bit_for_bit():
     import numpy as np
 
     from fracineq import Params, corpus_by_name
-    from fracineq.bounds import _ORACLE_TOL, _oracle_spec
+    from fracineq.bounds import _oracle_spec
     from fracineq.identity import SIDE_TOL, _kernel_pieces
 
     # native integrands that bisect deeply: both segments of the
     # criterion-02 phi4 oracle at a small lambda, and a sqrt cusp at 0
-    deep = _oracle_spec(("phi-oracle", _ORACLE_TOL, 4, 3.0, 0.05, 1.5), {})[0]
+    deep = _oracle_spec(("phi-oracle", 4, 3.0, 0.05, 1.5), {})[0]
     deep.append((lambda t: np.sqrt(t) * np.cos(t), 0.0, 1.5))
     jobs = [(np.exp, 0.0, 1.0), (lambda t: np.sin(30.0 * t), 0.0, 2.0),
             (lambda t: abs(t - 0.3), 0.0, 1.0)] + deep
@@ -248,15 +252,15 @@ def test_batch_matches_the_serial_loop_bit_for_bit(monkeypatch):
 
     # alone, each deep job bisects through its lookahead rows: fewer
     # rounds than one per bisection, and every bit the same
-    seen = _count_rounds(monkeypatch)
     for f, lo, hi in deep:
-        seen[:] = [0, 0]
+        start = quad.WORK[:]
         res, = integrate_batch([(f, lo, hi)], SIDE_TOL)
+        rounds, _ = _work_since(start)
         assert res == _serial_reference(f, lo, hi, SIDE_TOL)
-        assert res.subdivisions > 8 and seen[0] < res.subdivisions + 1
+        assert res.subdivisions > 8 and rounds < res.subdivisions + 1
 
 
-def test_lookahead_heads_for_the_end_of_the_job_it_splits(monkeypatch):
+def test_lookahead_heads_for_the_end_of_the_job_it_splits():
     import numpy as np
 
     from fracineq.bounds import _ORACLE_TOL, _oracle_spec
@@ -265,20 +269,21 @@ def test_lookahead_heads_for_the_end_of_the_job_it_splits(monkeypatch):
     # the [0, t*] segment of the phi4 oracle at kappa 2, lambda 0.3, p 1.5
     # splits toward 0 and toward t* by turns: its lookahead follows the
     # end each split touches (13 rounds when it followed the last split)
-    (f, lo, hi), _ = _oracle_spec(("phi-oracle", _ORACLE_TOL, 4, 2.0, 0.3,
-                                   1.5), {})[0]
-    seen = _count_rounds(monkeypatch)
+    (f, lo, hi), _ = _oracle_spec(("phi-oracle", 4, 2.0, 0.3, 1.5), {})[0]
+    start = quad.WORK[:]
     res, = integrate_batch([(f, lo, hi)], _ORACLE_TOL)
+    rounds, _ = _work_since(start)
     assert res == _serial_reference(f, lo, hi, _ORACLE_TOL)
-    assert res.subdivisions == 24 and seen[0] <= 8
+    assert res.subdivisions == 24 and rounds <= 8
 
     # sqrt(1 - t) splits toward 1 only: after the first split (which looks
     # left) its lookahead heads right (8 rounds when it followed the split)
-    seen[:] = [0, 0]
     f = lambda t: np.sqrt(1.0 - t)
+    start = quad.WORK[:]
     res, = integrate_batch([(f, 0.0, 1.0)], SIDE_TOL)
+    rounds, _ = _work_since(start)
     assert res == _serial_reference(f, 0.0, 1.0, SIDE_TOL)
-    assert res.subdivisions == 23 and seen[0] <= 6
+    assert res.subdivisions == 23 and rounds <= 6
 
 
 # 0.1875 is the centre node of [0.125, 0.25], an interval of the first
@@ -325,11 +330,12 @@ def test_an_integrand_raising_at_a_lookahead_node_stays_vectorized():
     assert got == _serial_reference(f, 0.0, 1.0, SIDE_TOL)
 
 
-def test_a_list_returning_integrand_samples_no_lookahead_rows(monkeypatch):
-    seen = _count_rounds(monkeypatch)
+def test_a_list_returning_integrand_samples_no_lookahead_rows():
+    start = quad.WORK[:]
     got, = integrate_batch([(_kernel_like, 0.0, 1.0)])
     assert got.subdivisions > 5
-    assert seen == [1 + got.subdivisions, 1 + 2 * got.subdivisions]
+    assert _work_since(start) == [1 + got.subdivisions,
+                                  1 + 2 * got.subdivisions]
 
 
 def test_batch_rejects_a_malformed_interval_before_any_work():
