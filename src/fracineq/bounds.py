@@ -158,29 +158,25 @@ def phi4(kappa: float, lam: float, p: float, memo: dict | None = None) -> float:
 
 # --- quadrature oracle -----------------------------------------------------
 
-def _check_which(which: int, alpha: float | None, p: float | None) -> None:
+def _moment_key(which: int, kappa: float, lam: float, alpha, p) -> tuple:
+    # phi1 reads neither alpha nor p, phi2/phi3 alpha, phi4 p: extra is the
+    # one it reads, and it must be given
     if which not in (1, 2, 3, 4):
         raise DomainError("which must be 1..4, got %r" % (which,))
-    if which in (2, 3) and alpha is None:
-        raise DomainError("phi%d needs alpha" % which)
-    if which == 4 and p is None:
-        raise DomainError("phi4 needs p")
+    extra = None if which == 1 else p if which == 4 else alpha
+    if which != 1 and extra is None:
+        raise DomainError("phi4 needs p" if which == 4 else "phi%d needs alpha" % which)
+    return (which, kappa, lam, extra)
 
 
-def _closed_form(which, kappa, lam, alpha, p, memo):
+def _closed_form(which, kappa, lam, extra, memo):
     if which == 1:
         return phi1(kappa, lam)
     if which == 2:
-        return phi2(kappa, lam, alpha)
+        return phi2(kappa, lam, extra)
     if which == 3:
-        return phi3(kappa, lam, alpha)
-    return phi4(kappa, lam, p, memo=memo)
-
-
-def _moment_key(which: int, kappa: float, lam: float, alpha, p) -> tuple:
-    # phi1 reads neither alpha nor p, phi2/phi3 alpha, phi4 p
-    return (which, kappa, lam,
-            alpha if which in (2, 3) else p if which == 4 else None)
+        return phi3(kappa, lam, extra)
+    return phi4(kappa, lam, extra, memo=memo)
 
 
 def phi(which: int, kappa: float, lam: float, *,
@@ -188,12 +184,11 @@ def phi(which: int, kappa: float, lam: float, *,
         memo: dict | None = None) -> float:
     """Closed form of phi<which>; arguments as for phi_oracle.
 
-    With a memo each moment is computed once per sweep; phi1..phi4
-    themselves cache nothing.
+    With a memo each moment is computed once per sweep, and phi4 shares
+    its incomplete beta through the same memo.
     """
-    _check_which(which, alpha, p)
-    return memoized(memo, ("phi",) + _moment_key(which, kappa, lam, alpha, p),
-                    lambda: _closed_form(which, kappa, lam, alpha, p, memo))
+    key = _moment_key(which, kappa, lam, alpha, p)
+    return memoized(memo, ("phi",) + key, lambda: _closed_form(*key, memo))
 
 
 def _oracle_spec(key: tuple, shared: dict) -> tuple:
@@ -203,14 +198,12 @@ def _oracle_spec(key: tuple, shared: dict) -> tuple:
     Splits at the kink t*; within each segment the kernel sign is fixed,
     so no abs() enters the integrand.
     """
-    _, which, kappa, lam, alpha = key
-    p = alpha       # the key's last slot: alpha for phi2/phi3, p for phi4
+    _, which, kappa, lam, extra = key
     _check_kl(kappa, lam)
-    _check_which(which, alpha, p)
     if which in (2, 3):
-        check_unit_interval("alpha", alpha)
+        check_unit_interval("alpha", extra)
     if which == 4:
-        _check_p(p)
+        _check_p(extra)
 
     c = (kappa + 1.0) * lam
     if c <= 0.0:
@@ -226,10 +219,10 @@ def _oracle_spec(key: tuple, shared: dict) -> tuple:
         if which == 1:
             return t * kern
         if which == 2:
-            return t ** (1.0 + alpha) * kern
+            return t ** (1.0 + extra) * kern
         if which == 3:
-            return t * (1.0 - t ** alpha) * kern
-        return t ** p * kern ** p
+            return t * (1.0 - t ** extra) * kern
+        return t ** extra * kern ** extra
 
     return [(lambda t, sign=sign: integrand(t, sign), lo, hi)
             for lo, hi, sign in segments], 1.0
@@ -245,7 +238,6 @@ def phi_oracle(which: int, kappa: float, lam: float, *,
     forms and of the beta/2F1 machinery.  With a memo the value is
     computed once per sweep (fill_phi_oracles computes many in one batch).
     """
-    _check_which(which, alpha, p)     # before which enters a memo key
     key = ("phi-oracle",) + _moment_key(which, kappa, lam, alpha, p)
     res, = memoized_integrals(memo, [key], _oracle_spec, _ORACLE_TOL)
     if isinstance(res, Exception):
@@ -255,7 +247,8 @@ def phi_oracle(which: int, kappa: float, lam: float, *,
 
 def fill_phi_oracles(specs, memo: dict) -> None:
     """Compute phi_oracle of each (which, kappa, lam, alpha, p) of specs
-    not in memo, at the default tolerance, in one memoized_integrals call."""
+    not in memo, at the default tolerance, in one memoized_integrals call;
+    a spec without the alpha or p its moment reads raises DomainError first."""
     keys = [("phi-oracle",) + _moment_key(*spec) for spec in specs]
     memoized_integrals(memo, keys, _oracle_spec, _ORACLE_TOL)
 
@@ -343,13 +336,10 @@ def bound_thm211(p: Params, fn: FnTriple,
                  memo: dict | None = None) -> BoundReport:
     """Power-mean route: phi1^(1-1/q) with the phi2/phi3 inner mix.
 
-    With a memo the report is computed once per (fn, p),
-    and its lhs, |direct side|, once per identity point.
+    With a memo each input of the report is computed once per sweep: its
+    lhs, |direct side|, once per identity point, and each phi moment and
+    |f''| value once.
     """
-    return memoized(memo, ("thm211", fn, p), lambda: _thm211(p, fn, memo))
-
-
-def _thm211(p, fn, memo):
     lhs = _theorem_lhs(p, fn, memo)
     pref, ga, gb = _power_mean_terms(p, fn, memo)
     c1, c2 = _coefs(p)
@@ -361,13 +351,9 @@ def bound_thm22(p: Params, fn: FnTriple,
                 memo: dict | None = None) -> BoundReport:
     """Hoelder route: phi4^(1/p) with the flat (alpha+1) inner mix; q > 1.
 
-    With a memo the report is computed once per (fn, p),
-    and its lhs, |direct side|, once per identity point.
+    With a memo each input of the report is computed once per sweep, as
+    for bound_thm211.
     """
-    return memoized(memo, ("thm22", fn, p), lambda: _thm22(p, fn, memo))
-
-
-def _thm22(p, fn, memo):
     if not p.q > 1.0:
         raise DomainError("the Hoelder route needs q > 1, got q=%r" % (p.q,))
     lhs = _theorem_lhs(p, fn, memo)
@@ -399,17 +385,15 @@ def _average_spec(key: tuple, shared: dict) -> tuple:
 
 def _simpson_blend_lhs(fn: FnTriple, a: float, b: float, lam: float,
                        memo: dict | None = None) -> float:
-    def compute():
-        mid = 0.5 * (a + b)
-        # the average reads no lambda: one integral per (fn, a, b)
-        total, = memoized_integrals(memo, [("simpson-avg", fn, a, b)],
-                                    _average_spec, _LHS_TOL)
-        if isinstance(total, Exception):
-            raise total
-        avg = total.value / (b - a)
-        return abs((1.0 - lam) * float(fn.f(mid))
-                   + lam * 0.5 * (float(fn.f(a)) + float(fn.f(b))) - avg)
-    return memoized(memo, ("simpson", fn, a, b, lam), compute)
+    mid = 0.5 * (a + b)
+    # the average reads no lambda: one integral per (fn, a, b)
+    total, = memoized_integrals(memo, [("simpson-avg", fn, a, b)],
+                                _average_spec, _LHS_TOL)
+    if isinstance(total, Exception):
+        raise total
+    avg = total.value / (b - a)
+    return abs((1.0 - lam) * float(fn.f(mid))
+               + lam * 0.5 * (float(fn.f(a)) + float(fn.f(b))) - avg)
 
 
 def _sarikaya_terms_low(lam: float) -> tuple[float, float, float]:
@@ -735,7 +719,7 @@ def corollary_check(cid: str, p: Params, fn: FnTriple,
         base = bound_thm211(p, fn, memo=memo)
     else:
         base = bound_thm22(p, fn, memo=memo)
-    scale = 1.0 if cid == "2a-a" else (2.0 / p.width) ** (p.kappa - 1.0)
+    scale = (2.0 / p.width) ** (p.kappa - 1.0) if spec.x_mid else 1.0
     rep = _report("corollary:" + cid, scale * base.lhs, scale * base.rhs)
     printed_rhs = float(spec.printed(p, fn, memo))
     discrepancy = abs(printed_rhs - rep.rhs)

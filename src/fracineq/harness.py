@@ -278,15 +278,15 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
     phi moment fails alone, any other check for its whole (check, fn)
     pair.
 
-    Each value is computed once per call and shared by every check and
-    every alpha and q that reads it: each grid point's Params, each
-    one-sided RL integral and each kernel half, the direct and kernel
+    Each input of a report is computed once per call and shared by every
+    check and every alpha and q that reads it: each grid point's Params,
+    each one-sided RL integral and kernel half, the direct and kernel
     sides and residual of each identity point (fn, a, b, m, x, lambda,
-    kappa), each thm211/thm22 report, each phi moment and its oracle,
-    the ids of the corollaries that apply at each Params, the Simpson
-    average per (fn, a, b), and each sarikaya and remark row (or skip)
-    per (fn, a, b, lambda, q).  Most integrals run in lockstep batches
-    (see _grid); none of this changes a bit of any row.
+    kappa), each phi moment and its oracle, each |f''| triple, the ids of
+    the corollaries that apply at each Params, the Simpson average per
+    (fn, a, b), and each sarikaya and remark row (or skip) per (fn, a, b,
+    lambda, q); each row rebuilds its thm211/thm22 report from them.  Most
+    integrals run in lockstep batches (see _grid); no bit of a row moves.
 
     out_path is opened before any work, and each row is written as it is
     produced: a bad path fails first, and a crash keeps the rows before it.

@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from fracineq import (AdmissionError, ConvergenceError, DomainError, Params,
+from fracineq import (AdmissionError, ConvergenceError, DomainError,
+                      EvaluationError, Params,
                       beta, beta_inc,
                       bound_sarikaya, bound_thm211, bound_thm22,
                       corpus_by_name, direct_side, phi1, phi2, phi3,
@@ -155,6 +156,29 @@ def test_oracle_jobs_equal_the_serial_segment_sum_bit_for_bit():
         assert phi_oracle(which, k, lam, alpha=al, p=p, memo=memo) == want
 
 
+@pytest.mark.parametrize("spec", [(2, 1.0, 0.5, None, None),
+                                  (3, 1.0, 0.5, None, 2.0),
+                                  (4, 1.0, 0.5, 1.0, None)])
+def test_a_spec_missing_its_argument_fails_before_any_oracle_round(spec):
+    # the moment key checks it, so neither this spec nor the good one
+    # before it reaches the engine
+    memo, start = {}, quad.WORK[:]
+    with pytest.raises(DomainError, match="needs"):
+        fill_phi_oracles([(1, 1.0, 0.5, None, None), spec], memo)
+    assert quad.WORK == start and memo == {}
+
+
+def test_phi_oracle_raises_the_error_of_its_integral():
+    # t^p |c - t^kappa|^p at p = 1e308 is 0 * inf at the first nodes; the
+    # failed integral is not stored, so each reader gets the error
+    memo = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            with pytest.raises(EvaluationError, match="non-finite"):
+                phi_oracle(4, 1.0, 1.0, p=1e308, memo=memo)
+    assert memo == {}
+
+
 @pytest.mark.parametrize("k", KAPPAS)
 @pytest.mark.parametrize("lam", (0.0, 0.1, 0.3, 0.6, 1.0))
 def test_phi1_against_oracle(k, lam):
@@ -219,6 +243,22 @@ def test_phi_dispatches_to_each_closed_form(k, lam):
             assert phi(2, k, lam, alpha=alpha, p=p) == phi2(k, lam, alpha)
             assert phi(3, k, lam, alpha=alpha, p=p) == phi3(k, lam, alpha)
             assert phi(4, k, lam, alpha=alpha, p=p) == phi4(k, lam, p)
+
+
+# mpmath.quad at 40 digits of int_0^1 t^2 |1.001 - t^0.001|^2 dt
+PHI4_SMALL_KAPPA = 6.2948156373665661e-07
+
+
+def test_phi_oracle_at_a_small_kappa():
+    assert phi_oracle(4, 1e-3, 1.0, p=2.0) == pytest.approx(PHI4_SMALL_KAPPA,
+                                                             rel=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="its incomplete beta, weight t^2999 "
+                   "on [0, 1/1.001], comes back as about 4e-14 for 3.1e-11 "
+                   "(ROADMAP aim 3)")
+def test_phi4_at_a_small_kappa():
+    assert phi4(1e-3, 1.0, 2.0) == pytest.approx(PHI4_SMALL_KAPPA, rel=1e-9)
 
 
 def test_phi_needs_its_arguments():
@@ -396,6 +436,15 @@ def test_sarikaya_domain():
         bound_sarikaya(FNS["exp"], 1.0, 0.0, 0.5, 1.0)
     with pytest.raises(DomainError):
         bound_sarikaya(FNS["exp"], 0.0, 1.0, 0.5, 0.5)
+
+
+def test_sarikaya_raises_the_error_of_its_average():
+    # |f''| = 1 is admitted, but f has a pole at the midpoint t = 0.5
+    fn = FnTriple(f=lambda t: 1.0 / (t - 0.5), df=lambda t: -1.0 / (t - 0.5) ** 2,
+                  ddf=lambda t: 1.0 + 0.0 * t, name="pole")
+    with np.errstate(divide="ignore"), \
+            pytest.raises(EvaluationError, match="at t=0.5"):
+        bound_sarikaya(fn, 0.0, 1.0, 0.5, 1.0)
 
 
 # --- the kappa = m = alpha = 1 remark tables -----------------------------

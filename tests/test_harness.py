@@ -340,7 +340,8 @@ def test_bounds_only_sweep_runs_no_kernel_integral(tmp_path, monkeypatch):
 
 
 def _spy_args(monkeypatch, module, name):
-    """Count the calls of module.name that return, by their arguments.
+    """Count the calls of module.name that return, by their arguments
+    other than a memo.
 
     A call that raises stores nothing in the memo, so it is not counted.
     """
@@ -349,8 +350,8 @@ def _spy_args(monkeypatch, module, name):
 
     def spy(*args, **kwargs):
         value = original(*args, **kwargs)
-        key = args + tuple(sorted(kwargs.items()))
-        calls[tuple(v for v in key if not isinstance(v, dict))] += 1
+        kwargs.pop("memo", None)
+        calls[args + tuple(sorted(kwargs.items()))] += 1
         return value
 
     monkeypatch.setattr(module, name, spy)
@@ -395,18 +396,6 @@ def test_sweep_computes_each_one_sided_integral_once(tmp_path, monkeypatch):
     # fewer integrals than identity points is where the saving comes from
     for tag in ("rl-left", "rl-right"):
         assert 0 < sum(key[0] == tag for key in computed) < len(direct)
-
-
-def test_sweep_computes_each_theorem_report_once(tmp_path, monkeypatch):
-    # the thm211/thm22 rows and every corollary id at a point share one
-    # report; an unadmitted point raises each time and stores nothing
-    bodies = {name: _spy_args(monkeypatch, fracineq.bounds, name)
-              for name in ("_thm211", "_thm22")}
-    out = str(tmp_path / "r.csv")
-    summary = run_sweep(parse_sweep_config(SMALL_SWEEP_CFG), out)
-    assert summary.rows_total == 250
-    for name, calls in bodies.items():
-        assert calls and set(calls.values()) == {1}, name
 
 
 def test_sweep_computes_each_classical_row_once(tmp_path, monkeypatch):
@@ -508,18 +497,14 @@ def test_sweep_integrates_simpson_average_once_per_fn_interval(
 
 def test_sweep_calls_phi4_once_per_distinct_argument_set(tmp_path,
                                                           monkeypatch):
-    # thm22, the Hoelder corollaries and the phi4 oracle row all read
-    # phi4, and its upper branch runs an incomplete-beta quadrature
-    calls = collections.Counter()
-    phi4 = fracineq.bounds.phi4
-
-    def spy(*args, memo=None):
-        calls[args] += 1
-        return phi4(*args, memo=memo)
-
-    monkeypatch.setattr(fracineq.bounds, "phi4", spy)
+    # thm211/thm22, every corollary of their family and the oracle rows all
+    # read the moments, and phi4's upper branch runs an incomplete-beta
+    # quadrature: each moment is computed once per distinct argument set
+    moments = {name: _spy_args(monkeypatch, fracineq.bounds, name)
+               for name in ("phi1", "phi2", "phi3", "phi4")}
     run_sweep(parse_sweep_config(SMALL_SWEEP_CFG), str(tmp_path / "r.csv"))
-    assert calls and set(calls.values()) == {1}
+    for name, calls in moments.items():
+        assert calls and set(calls.values()) == {1}, name
 
 
 def test_small_sweep_engine_rounds_are_pinned(tmp_path):
@@ -690,6 +675,38 @@ def test_cli_bound_check_thm_and_corollary(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "printed" in out and "matches" in out
+
+
+@pytest.mark.parametrize("thm,extra,which", [
+    ("sarikaya", [], "sarikaya"),
+    ("sarikaya", ["--literal"], "sarikaya-literal"),
+    ("remark", [], "remark")])
+def test_cli_bound_check_classical(capsys, thm, extra, which):
+    rc = main(["bound-check", "--thm", thm, "--fn", "exp", "--lambda", "0.25",
+               "--q", "2"] + extra)
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "which     = %s\n" % which in out and "holds     = true" in out
+
+
+def test_cli_unknown_thm_exits_2(capsys):
+    assert main(["bound-check", "--thm", "23", "--fn", "exp"]) == 2
+    assert capsys.readouterr().err == "error: unknown --thm '23'\n"
+
+
+def test_cli_usage_error_and_help_keep_argparse_codes(capsys):
+    assert main(["phi"]) == 2
+    assert "required" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: fracineq")
+
+
+def test_cli_remark_table_without_out_prints_every_row(capsys):
+    assert main(["remark-table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "rows=66 both_bounds_hold=true remark_leq_sarikaya=66/66"
+    assert len(lines) == 67
+    assert all(" lambda=" in line and " sarikaya=" in line for line in lines[1:])
 
 
 def test_cli_domain_errors_exit_2(capsys):

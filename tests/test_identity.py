@@ -17,8 +17,8 @@ from fracineq import DomainError, EvaluationError, Params, corpus_by_name, direc
 from fracineq.amconvex import FnTriple
 from fracineq.fracint import rl_left_result, rl_right_result
 import fracineq.identity
-from fracineq.identity import (SIDE_TOL, direct_with_budget, memoized_integrals,
-                               side_keys, side_spec)
+from fracineq.identity import (SIDE_TOL, direct_with_budget, memoized,
+                               memoized_integrals, side_keys, side_spec)
 from fracineq.specfun import gamma
 
 from conftest import standard_grid
@@ -386,6 +386,32 @@ def test_params_validation():
     p = Params(a=0.2, b=1.2, m=0.6, x=0.5, lam=0.5, kappa=1.0)
     assert p.mb == pytest.approx(0.72)
     assert p.width == pytest.approx(0.52)
+
+
+@pytest.mark.parametrize("name", ["a", "b", "m", "x", "lam", "kappa", "alpha", "q"])
+def test_a_non_finite_parameter_is_a_domain_error(name):
+    fields = dict(a=0.0, b=1.0, m=1.0, x=0.5, lam=0.5, kappa=1.0, alpha=1.0, q=1.0)
+    fields[name] = math.nan
+    with pytest.raises(DomainError, match="parameter %s must be finite" % name):
+        Params(**fields)
+
+
+def test_memoized_stores_nothing_when_its_compute_raises():
+    # a skip or a failure is not a value: its next reader computes again
+    memo, calls = {}, []
+
+    def compute():
+        calls.append(len(calls))
+        if len(calls) == 1:
+            raise EvaluationError("first call fails")
+        return 7.0
+
+    with pytest.raises(EvaluationError):
+        memoized(memo, ("tag", 1.0), compute)
+    assert memo == {}
+    assert memoized(memo, ("tag", 1.0), compute) == 7.0
+    assert memoized(memo, ("tag", 1.0), compute) == 7.0
+    assert calls == [0, 1] and memo == {("tag", 1.0): 7.0}
 
 
 def test_constant_function_degenerate():

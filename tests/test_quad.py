@@ -1,6 +1,7 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from fracineq import DomainError, EvaluationError, ConvergenceError, quad
@@ -66,6 +67,25 @@ def test_convergence_error_carries_estimate():
     expect = 1.5 - math.sin(120.0) / 160.0  # int_0^3 sin(40 t)^2 dt
     # the partial answer is rough, but its own error bar must cover it
     assert abs(est.value - expect) <= est.abs_error_estimate
+
+
+def test_a_round_off_level_interval_ends_the_bisection():
+    # a zero tolerance is never met: the run stops once its worst interval's
+    # error is at round-off level, with the integral to within 2 ulps
+    res = integrate(np.exp, 0.0, 1.0, Tolerance(0.0, 0.0))
+    assert res.subdivisions == 734
+    assert abs(res.value - (math.e - 1.0)) <= 4.5e-16
+
+
+def test_an_interval_with_no_midpoint_raises_with_its_estimate():
+    # 1e300 over one ulp: the error estimate meets no tolerance, and
+    # [1, nextafter(1, 2)] has no float strictly inside it to split at
+    with pytest.raises(ConvergenceError, match="cannot be split") as exc:
+        integrate(lambda t: 1e300, 1.0, math.nextafter(1.0, 2.0),
+                  Tolerance(0.0, 0.0, 10))
+    est = exc.value.estimate
+    assert isinstance(est, QuadResult) and est.subdivisions == 0
+    assert est.value == pytest.approx(1e300 * 2.0 ** -52)
 
 
 def test_evaluation_error_reports_abscissa():
@@ -379,6 +399,11 @@ def test_nonintegrable_weight_rejected():
         integrate_singular(lambda t: 1.0, 0.0, 1.0, -1.0, 0.0)
     with pytest.raises(DomainError):
         integrate_singular(lambda t: 1.0, 0.0, 1.0, 0.0, -1.5)
+
+
+def test_non_finite_weight_exponent_rejected():
+    with pytest.raises(DomainError, match="finite"):
+        integrate_singular(np.exp, 0.0, 1.0, math.nan, 0.0)
 
 
 @pytest.mark.parametrize("p_lo,p_hi", [
