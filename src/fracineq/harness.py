@@ -23,11 +23,12 @@ import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
+import numpy as np
+
 from . import bounds
 from .amconvex import corpus, corpus_by_name
 from .errors import AdmissionError, ConvergenceError, DomainError, EvaluationError
-from .identity import (SIDE_TOL, Params, memoized, memoized_integrals,
-                       point_key, residual, side_keys, side_spec)
+from .identity import Params, fill_sides, memoized, point_key, residual
 from .quad import Tolerance, integrate
 
 CSV_COLUMNS = ("check", "fn", "a", "b", "m", "x", "lambda", "kappa",
@@ -258,10 +259,8 @@ def _grid(cfg: SweepConfig, by_name, memo: dict):
     for block in itertools.product(cfg.a, cfg.b, cfg.m, cfg.x):
         points = [(block + tail, _grid_params(block + tail)) for tail in tails]
         if "identity" in cfg.checks:
-            keys = [key for _, prm in points if prm is not None
-                    for name in cfg.fns
-                    for key in side_keys(prm, by_name[name].fn)]
-            memoized_integrals(memo, keys, side_spec, SIDE_TOL)
+            fill_sides([(prm, by_name[name].fn) for _, prm in points
+                        if prm is not None for name in cfg.fns], memo)
         yield from points
 
 
@@ -620,7 +619,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):     # the failure line says enough
+            return _COMMANDS[args.command](args)
     except (DomainError, AdmissionError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

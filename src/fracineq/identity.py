@@ -171,19 +171,14 @@ def point_key(p: Params, fn: FnTriple) -> tuple:
     return (fn, p.a, p.b, p.m, p.x, p.lam, p.kappa)
 
 
-def _rl_keys(p: Params, fn: FnTriple) -> list:
-    """The memo key of each one-sided integral at p with a nonzero gap.
-
-    Neither reads lambda, and each reads only its own end: J^k[x-] f(a)
-    is the right-sided integral anchored at x, evaluated at a, and
-    J^k[x+] f(mb) the left-sided one anchored at x, evaluated at m b.
-    """
-    keys = []
-    if p.x - p.a > 0.0:
-        keys.append(("rl-right", fn, p.a, p.x, p.kappa))
-    if p.mb - p.x > 0.0:
-        keys.append(("rl-left", fn, p.x, p.mb, p.kappa))
-    return keys
+def _ends(p: Params, fn: FnTriple) -> list:
+    """(end, RL key, kernel-half key) of each end of [a, m b] that x is not
+    at, a first.  The one-sided RL integral of f (J^k[x-] f(a), J^k[x+] f(mb))
+    is anchored at x, evaluated at the end and reads no lambda; the kernel
+    half is anchored at the end.  Neither reads the other end."""
+    x, k = p.x, p.kappa
+    return [(end, ("rl", fn, x, end, k), ("kernel-half", fn, end, x, p.lam, k))
+            for end in (p.a, p.mb) if end != x]
 
 
 def _direct_with_budget(p: Params, fn: FnTriple,
@@ -196,7 +191,8 @@ def _direct_with_budget(p: Params, fn: FnTriple,
         * (bx ** (k + 1.0) - xa ** (k + 1.0)) / w * float(fn.df(p.x))
     gk1 = gamma(k + 1.0)
     frac, budget = 0.0, 0.0
-    for res in memoized_integrals(memo, _rl_keys(p, fn), side_spec, SIDE_TOL):
+    keys = [rl for _, rl, _ in _ends(p, fn)]
+    for res in memoized_integrals(memo, keys, side_spec, SIDE_TOL):
         if isinstance(res, Exception):
             raise res
         frac += res.value
@@ -242,47 +238,39 @@ def _kernel_pieces(fn: FnTriple, anchor: float, x: float, lam: float,
     return [(g, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
-def _half_keys(p: Params, fn: FnTriple) -> list:
-    """(gap, memo key) of each kernel half at p with a nonzero gap to x.
-
-    Each half reads only its own anchor: a, or m b.
-    """
-    return [(gap, ("kernel-half", fn, anchor, p.x, p.lam, p.kappa))
-            for gap, anchor in ((p.x - p.a, p.a), (p.mb - p.x, p.mb))
-            if gap > 0.0]
-
-
-def side_keys(p: Params, fn: FnTriple) -> list:
-    """The memo keys of every integral the two sides read at p: the
-    one-sided RL integrals, then the kernel halves."""
-    return _rl_keys(p, fn) + [key for _, key in _half_keys(p, fn)]
-
-
 def side_spec(key: tuple, shared: dict) -> tuple:
-    """memoized_integrals' (jobs, scale) of a side_keys key, at SIDE_TOL: a
-    kernel half's pieces, summed, or the one job of rl_left_result or
-    rl_right_result of fn.f, anchored at x, over the key's interval."""
+    """memoized_integrals' (jobs, scale) of an _ends key, at SIDE_TOL: a
+    kernel half's pieces, summed, or the one job of rl_left_result (end
+    past x) or rl_right_result of fn.f, anchored at x, evaluated at end."""
     if key[0] == "kernel-half":
         return _kernel_pieces(*key[1:], shared), 1.0
-    tag, fn, lo, hi, kappa = key
-    if tag == "rl-left":
-        job, g = rl_job(fn.f, lo, kappa, hi, True)
-    else:
-        job, g = rl_job(fn.f, hi, kappa, lo, False)
+    _, fn, x, end, kappa = key
+    job, g = rl_job(fn.f, x, kappa, end, end > x)
     return [job], g
+
+
+def fill_sides(pairs: list, memo: dict) -> None:
+    """Store in memo every integral both sides read at each (Params, fn) of
+    pairs, in one lockstep batch (per pair its RL integrals, then its kernel
+    halves); as in memoized_integrals, a failing integral is not stored."""
+    keys = []
+    for p, fn in pairs:
+        ends = _ends(p, fn)
+        keys += [rl for _, rl, _ in ends] + [half for _, _, half in ends]
+    memoized_integrals(memo, keys, side_spec, SIDE_TOL)
 
 
 def _kernel_with_budget(p: Params, fn: FnTriple,
                         memo: dict | None = None) -> tuple[float, float]:
     k, w = p.kappa, p.width
-    halves = _half_keys(p, fn)
-    got = memoized_integrals(memo, [key for _, key in halves], side_spec,
+    ends = _ends(p, fn)
+    got = memoized_integrals(memo, [half for _, _, half in ends], side_spec,
                              SIDE_TOL)
     value, budget = 0.0, 0.0
-    for (gap, _), half in zip(halves, got):
+    for (end, _, _), half in zip(ends, got):
         if isinstance(half, Exception):
             raise half
-        coef = gap ** (k + 2.0) / ((k + 1.0) * w)
+        coef = abs(p.x - end) ** (k + 2.0) / ((k + 1.0) * w)
         value += coef * half.value
         budget += coef * half.abs_error_estimate
     return value, budget

@@ -56,7 +56,10 @@ def gamma(x: float) -> float:
     for i in range(1, len(_LANCZOS)):
         s += _LANCZOS[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * s
+    value = _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * s
+    if value == math.inf:   # past float64, as t ** (z + 0.5) is a bit later
+        raise OverflowError("gamma(%r) overflows float64" % (x,))
+    return value
 
 
 def beta(x: float, y: float) -> float:

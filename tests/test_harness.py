@@ -1,11 +1,14 @@
 import collections
+import contextlib
 import dataclasses
 import csv
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -377,7 +380,7 @@ def _spy_integrals(monkeypatch):
                 calls[key] += 1
         return got
 
-    for module in (fracineq.identity, fracineq.bounds, fracineq.harness):
+    for module in (fracineq.identity, fracineq.bounds):
         monkeypatch.setattr(module, "memoized_integrals", spy)
     return calls
 
@@ -390,12 +393,35 @@ def test_sweep_computes_each_one_sided_integral_once(tmp_path, monkeypatch):
     computed = _spy_integrals(monkeypatch)
     direct = _spy(monkeypatch, fracineq.identity, "_direct_with_budget")
     run_sweep(parse_sweep_config(SMALL_SWEEP_CFG), str(tmp_path / "r.csv"))
-    tags = ("rl-left", "rl-right", "kernel-half", "phi-oracle", "simpson-avg")
+    tags = ("rl", "kernel-half", "phi-oracle", "simpson-avg")
     assert {key[0] for key in computed} == set(tags)
     assert set(computed.values()) == {1}
-    # fewer integrals than identity points is where the saving comes from
-    for tag in ("rl-left", "rl-right"):
-        assert 0 < sum(key[0] == tag for key in computed) < len(direct)
+    # fewer integrals than identity points is where the saving comes from,
+    # on each side of x: an "rl" key is (tag, fn, x, end, kappa)
+    for past_x in (True, False):
+        assert 0 < sum(key[0] == "rl" and (key[3] > key[2]) == past_x
+                       for key in computed) < len(direct)
+
+
+def test_sweep_fills_each_block_once_with_the_identity_check(tmp_path,
+                                                             monkeypatch):
+    # the one-sided integrals and kernel halves of an (a, b, m, x) block
+    # are filled in one identity.fill_sides call ahead of its points; a
+    # sweep without the identity check reads neither and fills nothing
+    cfg = parse_sweep_config(SMALL_SWEEP_CFG)
+    blocks = len(cfg.a) * len(cfg.b) * len(cfg.m) * len(cfg.x)
+    filled = []
+    original = fracineq.harness.fill_sides
+    monkeypatch.setattr(fracineq.harness, "fill_sides",
+                        lambda pairs, memo: filled.append(len(pairs))
+                        or original(pairs, memo))
+    others = tuple(c for c in cfg.checks if c != "identity")
+    for checks, calls in ((others, 0), (cfg.checks, blocks)):
+        del filled[:]
+        run_sweep(dataclasses.replace(cfg, checks=checks),
+                  str(tmp_path / "r.csv"))
+        assert len(filled) == calls
+    assert sum(filled) > 0
 
 
 def test_sweep_computes_each_classical_row_once(tmp_path, monkeypatch):
@@ -642,18 +668,76 @@ def test_cli_phi_and_oracle(capsys):
 
 
 def test_cli_phi4_truncated_series_exits_1_without_a_traceback():
-    # the middle branch's 2F1 series near z = 1 leaves a tail estimate of
-    # about 10 here; phi4 raises ConvergenceError rather than return it
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         fracineq.harness.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-m", "fracineq.harness", "phi", "4", "--kappa", "8",
-         "--lambda", "1e-12", "--p", "1.01"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-        timeout=120)
-    assert out.returncode == 1
-    assert out.stderr.startswith("numerical failure: ")
-    assert "Traceback" not in out.stderr and out.stdout == ""
+    for args in (
+            # the middle branch's 2F1 series near z = 1 leaves a tail
+            # estimate of about 10 here; phi4 raises ConvergenceError
+            # rather than return it
+            "phi 4 --kappa 8 --lambda 1e-12 --p 1.01",
+            # the oracle's integrand overflows: numpy's warnings stay off
+            # stderr
+            "phi 4 --kappa 1 --lambda 1 --p 1e308 --oracle",
+            # gamma(142.24) is past float64: phi4 raises, not reads 0.0
+            "phi 4 --kappa 1 --lambda 0.5 --p 70.12 --oracle"):
+        out = subprocess.run(
+            [sys.executable, "-m", "fracineq.harness"] + args.split(),
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert out.returncode == 1, args
+        assert out.stderr.startswith("numerical failure: "), args
+        assert out.stderr.count("\n") == 1 and out.stderr.endswith("\n")
+        assert "Traceback" not in out.stderr and out.stdout == "", args
+
+
+_EDGE_VALUES = ("0", "5e-324", "1e-3", "0.5", "1", "2", "70.12", "1e308",
+                "-1", "inf", "nan")
+
+
+def test_cli_edge_values_exit_with_a_code_and_at_most_one_stderr_line():
+    # every numeric flag at an edge value, an optional one maybe left out:
+    # main returns 0, 1 or 2, raises nothing, records no warning and writes
+    # at most one line to stderr (README's exit-status promise)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    value = st.sampled_from(_EDGE_VALUES)
+
+    def flag(name, optional=True):
+        given = value.map(lambda v: ["%s=%s" % (name, v)])
+        return st.one_of(st.just([]), given) if optional else given
+
+    def argv(*parts):
+        return st.tuples(*parts).map(lambda got: sum(got, []))
+
+    phi = argv(st.sampled_from([["phi", w] + o for w in "1234"
+                                for o in ([], ["--oracle"])]),
+               flag("--kappa", False), flag("--lambda", False),
+               flag("--alpha"), flag("--p"))
+    point = argv(st.sampled_from([["identity-check"]] + [
+                     ["bound-check", "--thm", thm] for thm in
+                     ("211", "22", "sarikaya", "remark", "corollary:2b-a")]),
+                 st.sampled_from(sorted(corpus_by_name())).map(
+                     lambda name: ["--fn", name]),
+                 *[flag(f) for f in ("--a", "--b", "--m", "--x", "--lambda",
+                                     "--kappa", "--alpha", "--q")])
+
+    @hyp.settings(max_examples=300, derandomize=True, deadline=None,
+                  database=None)
+    @hyp.example("phi 4 --kappa 1 --lambda 1 --p 1e308 --oracle".split())
+    @hyp.example("bound-check --thm sarikaya --fn exp --q 1e308".split())
+    @hyp.given(st.one_of(phi, point))
+    def check(argv):
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as seen, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert rc in (0, 1, 2), argv
+        assert not seen, (argv, [str(w.message) for w in seen])
+        assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+
+    check()
 
 
 def test_cli_identity_check(capsys):

@@ -17,24 +17,29 @@ from fracineq import DomainError, EvaluationError, Params, corpus_by_name, direc
 from fracineq.amconvex import FnTriple
 from fracineq.fracint import rl_left_result, rl_right_result
 import fracineq.identity
-from fracineq.identity import (SIDE_TOL, direct_with_budget, memoized,
-                               memoized_integrals, side_keys, side_spec)
+from fracineq.identity import (SIDE_TOL, _ends, direct_with_budget, fill_sides,
+                               memoized, memoized_integrals, side_spec)
 from fracineq.specfun import gamma
 
 from conftest import standard_grid
 
 FNS = {k: v.fn for k, v in corpus_by_name().items()}
 
-RL_TAGS = ("rl-left", "rl-right")
-HALF_TAGS = ("kernel-half",)
+# the slot of each kind of integral in an identity._ends triple
+RL, HALF = 1, 2
 
 
-def _fill(pairs, memo, tags=RL_TAGS + HALF_TAGS):
-    """One memoized_integrals call over the integrals of these kinds that
-    the two sides read at each (Params, fn) pair, as a sweep block fills."""
-    keys = [key for p, fn in pairs for key in side_keys(p, fn)
-            if key[0] in tags]
+def _fill(pairs, memo, kind):
+    """One memoized_integrals call over the integrals of one kind that the
+    two sides read at each (Params, fn) pair, as fill_sides fills both."""
+    keys = [end[kind] for p, fn in pairs for end in _ends(p, fn)]
     memoized_integrals(memo, keys, side_spec, SIDE_TOL)
+
+
+def _rl_sides(memo):
+    """Which one-sided integrals memo holds: True for those over [x, m b],
+    evaluated at an end past their anchor x, False for those over [a, x]."""
+    return {key[3] > key[2] for key in memo if key[0] == "rl"}
 
 
 def test_symmetric_frozen_case():
@@ -255,7 +260,7 @@ def test_filled_halves_change_no_bit_and_a_failing_half_raises_alone():
     pairs = [(p, fn) for fn in (FNS["exp"], FNS["pow-2.5"], bad)
              for p in standard_grid(0.0, 1.0) if p.x == 0.5]
     memo = {}
-    _fill(pairs, memo, HALF_TAGS)
+    _fill(pairs, memo, HALF)
     assert all(k[0] == "kernel-half" for k in memo)
     stored = {(k[1], k[2]) for k in memo}
     assert (bad, 0.0) in stored and (bad, 1.0) not in stored
@@ -274,10 +279,10 @@ def test_filled_halves_change_no_bit_and_a_failing_half_raises_alone():
 
 def _rl_fresh(fn, key):
     # the call the direct side makes for a memo key it does not hold
-    tag, _, lo, hi, kappa = key
-    if tag == "rl-left":
-        return rl_left_result(fn.f, lo, kappa, hi, SIDE_TOL)
-    return rl_right_result(fn.f, hi, kappa, lo, SIDE_TOL)
+    _, _, x, end, kappa = key
+    if end > x:
+        return rl_left_result(fn.f, x, kappa, end, SIDE_TOL)
+    return rl_right_result(fn.f, x, kappa, end, SIDE_TOL)
 
 
 def test_filled_rl_integrals_equal_fresh_ones():
@@ -285,9 +290,9 @@ def test_filled_rl_integrals_equal_fresh_ones():
     # integral it stores must equal rl_*_result computed alone, bit for bit
     for fn in FNS.values():
         memo = {}
-        _fill([(p, fn) for p in standard_grid(0.0, 1.0)], memo, RL_TAGS)
-        assert memo and all(k[0] in ("rl-left", "rl-right") for k in memo)
-        assert {k[0] for k in memo} == {"rl-left", "rl-right"}
+        _fill([(p, fn) for p in standard_grid(0.0, 1.0)], memo, RL)
+        assert memo and all(k[0] == "rl" for k in memo)
+        assert _rl_sides(memo) == {True, False}
         for key, res in memo.items():
             assert res == _rl_fresh(fn, key), (fn.name, key)
         for p in standard_grid(0.0, 1.0):
@@ -304,8 +309,8 @@ def test_a_failing_rl_integral_is_not_stored_and_raises_alone():
     pairs = [(p, bad) for p in standard_grid(0.0, 1.0)
              if p.x == 0.5 and p.m == 1.0]
     memo = {}
-    _fill(pairs, memo, RL_TAGS)
-    assert {k[0] for k in memo} == {"rl-right"}
+    _fill(pairs, memo, RL)
+    assert {k[0] for k in memo} == {"rl"} and _rl_sides(memo) == {False}
     for p, fn in pairs:
         with pytest.raises(EvaluationError) as filled:
             direct_with_budget(p, fn, memo)
@@ -313,7 +318,7 @@ def test_a_failing_rl_integral_is_not_stored_and_raises_alone():
             direct_with_budget(p, fn)
         assert str(filled.value) == str(alone.value)
     # the failed integral was recomputed alone and stored nothing either
-    assert {k[0] for k in memo} == {"rl-right"}
+    assert {k[0] for k in memo} == {"rl"} and _rl_sides(memo) == {False}
 
 
 def test_a_filled_block_is_read_without_building_a_job(monkeypatch):
@@ -322,7 +327,7 @@ def test_a_filled_block_is_read_without_building_a_job(monkeypatch):
     block = [(p, fn) for p in standard_grid(0.0, 1.0)
              if (p.m, p.x) == (1.0, 0.5) for fn in FNS.values()]
     memo = {}
-    _fill(block, memo)
+    fill_sides(block, memo)
     built = collections.Counter()
     for name in ("rl_job", "_kernel_pieces"):
         original = getattr(fracineq.identity, name)
@@ -352,13 +357,14 @@ def test_a_mixed_fill_stores_each_kind_as_it_is_stored_alone():
     pairs = [(p, fn) for p in standard_grid(0.0, 1.0)
              for fn in (FNS["exp"], FNS["pow-2.5"], bad)]
     mixed, alone = {}, {}
-    _fill(pairs, mixed)
-    for tags in (RL_TAGS, HALF_TAGS):
+    fill_sides(pairs, mixed)
+    for kind in (RL, HALF):
         memo = {}
-        _fill(pairs, memo, tags)
+        _fill(pairs, memo, kind)
         alone.update(memo)
     assert mixed.keys() == alone.keys()
-    bad_keys = {k for p, fn in pairs if fn is bad for k in side_keys(p, fn)}
+    bad_keys = {k for p, fn in pairs if fn is bad
+                for _, rl, half in _ends(p, fn) for k in (rl, half)}
     assert 0 < len(bad_keys & mixed.keys()) < len(bad_keys)
     for key, value in mixed.items():
         assert repr(value) == repr(alone[key]), key

@@ -47,6 +47,16 @@ def test_gamma_domain():
         gamma(-1.5)
 
 
+def test_gamma_raises_where_its_product_overflows():
+    # the Lanczos product passes float64's range at about x = 142.215, a
+    # little before t ** (z + 0.5) alone does (142.37): in between gamma
+    # read inf and beta(139.3, 3) read 0.0, where it is 7.24e-7
+    assert math.isfinite(gamma(142.2))
+    for call in (lambda: gamma(142.3), lambda: beta(139.3, 3.0)):
+        with pytest.raises(OverflowError):
+            call()
+
+
 # --- beta ----------------------------------------------------------------
 
 def test_beta_pinned():
