@@ -35,7 +35,8 @@ import numpy as np
 
 from .amconvex import FnTriple, is_admitted
 from .errors import AdmissionError, ConvergenceError, DomainError, check_unit_interval
-from .identity import Params, direct_with_budget, memoized, memoized_integrals
+from .identity import (Params, direct_with_budget, end_coef, memoized,
+                       memoized_integrals)
 from .quad import Tolerance
 from .specfun import beta, beta_inc, hyp2f1, hyp2f1_result
 
@@ -290,13 +291,6 @@ def _require_admitted(fn: FnTriple, alpha: float, m: float, q: float,
             report=report)
 
 
-def _coefs(p: Params) -> tuple[float, float]:
-    w, k = p.width, p.kappa
-    c1 = (p.x - p.a) ** (k + 2.0) / ((k + 1.0) * w)
-    c2 = (p.mb - p.x) ** (k + 2.0) / ((k + 1.0) * w)
-    return c1, c2
-
-
 def _second_derivs(p: Params, fn: FnTriple, memo: dict | None) -> tuple:
     """|f''| at x, a/m and b, once per (fn, x, a, m, b) in a memo."""
     return memoized(memo, ("second-derivs", fn, p.x, p.a, p.m, p.b),
@@ -304,13 +298,18 @@ def _second_derivs(p: Params, fn: FnTriple, memo: dict | None) -> tuple:
                                   for u in (p.x, p.a / p.m, p.b)))
 
 
-def _holder_inner(p: Params, fn: FnTriple, memo: dict | None) -> tuple:
-    # the flat (alpha+1) mixes of |f''|^q, each to the power 1/q
+def _mixes(p: Params, fn: FnTriple, memo: dict | None, c2: float, c3: float,
+           den: float) -> tuple:
+    """((c2 |f''(x)|^q + c3 m |f''(a/m)|^q)/den)^(1/q) and the same at b."""
     d2x, d2a, d2b = _second_derivs(p, fn, memo)
-    q, al = p.q, p.alpha
-    ia = (d2x ** q + al * p.m * d2a ** q) / (al + 1.0)
-    ib = (d2x ** q + al * p.m * d2b ** q) / (al + 1.0)
-    return ia ** (1.0 / q), ib ** (1.0 / q)
+    q = p.q
+    return tuple(((c2 * d2x ** q + c3 * p.m * d ** q) / den) ** (1.0 / q)
+                 for d in (d2a, d2b))
+
+
+def _hoelder_terms(p: Params, fn: FnTriple, memo: dict | None) -> tuple:
+    """The Hoelder exponent q/(q-1) and the flat (alpha+1) mixes at p."""
+    return (p.q / (p.q - 1.0),) + _mixes(p, fn, memo, 1.0, p.alpha, p.alpha + 1.0)
 
 
 def _power_mean_terms(p: Params, fn: FnTriple, memo: dict | None) -> tuple:
@@ -320,6 +319,7 @@ def _power_mean_terms(p: Params, fn: FnTriple, memo: dict | None) -> tuple:
     f3 = phi(3, p.kappa, p.lam, alpha=p.alpha, memo=memo)
     d2x, d2a, d2b = _second_derivs(p, fn, memo)
     q = p.q
+    # (m |f''|^q) phi3 here, (c3 m) |f''|^q in _mixes: merging them moves last bits
     ia = d2x ** q * f2 + p.m * d2a ** q * f3
     ib = d2x ** q * f2 + p.m * d2b ** q * f3
     pref = f1 ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
@@ -342,8 +342,7 @@ def bound_thm211(p: Params, fn: FnTriple,
     """
     lhs = _theorem_lhs(p, fn, memo)
     pref, ga, gb = _power_mean_terms(p, fn, memo)
-    c1, c2 = _coefs(p)
-    rhs = pref * (c1 * ga + c2 * gb)
+    rhs = pref * (end_coef(p, p.a) * ga + end_coef(p, p.mb) * gb)
     return _report("thm211", lhs, rhs)
 
 
@@ -357,11 +356,9 @@ def bound_thm22(p: Params, fn: FnTriple,
     if not p.q > 1.0:
         raise DomainError("the Hoelder route needs q > 1, got q=%r" % (p.q,))
     lhs = _theorem_lhs(p, fn, memo)
-    pp = p.q / (p.q - 1.0)
+    pp, ga, gb = _hoelder_terms(p, fn, memo)
     f4 = phi(4, p.kappa, p.lam, p=pp, memo=memo)
-    ga, gb = _holder_inner(p, fn, memo)
-    c1, c2 = _coefs(p)
-    rhs = f4 ** (1.0 / pp) * (c1 * ga + c2 * gb)
+    rhs = f4 ** (1.0 / pp) * (end_coef(p, p.a) * ga + end_coef(p, p.mb) * gb)
     return _report("thm22", lhs, rhs)
 
 
@@ -494,23 +491,11 @@ def _beta_inc(memo: dict | None, a: float, x: float, y: float) -> float:
     return memoized(memo, ("beta_inc", a, x, y), lambda: beta_inc(a, x, y))
 
 
-def _inner_mixes(p: Params, fn: FnTriple, memo: dict | None, c2: float,
-                 c3: float) -> float:
-    """(c2 |f''(x)|^q + m c3 |f''(a/m)|^q)^(1/q), plus the same at b."""
-    d2x, d2a, d2b = _second_derivs(p, fn, memo)
-    q = p.q
-    ia = c2 * d2x ** q + p.m * c3 * d2a ** q
-    ib = c2 * d2x ** q + p.m * c3 * d2b ** q
-    return ia ** (1.0 / q) + ib ** (1.0 / q)
-
-
 def _printed_2a_a(p: Params, fn: FnTriple, memo: dict | None) -> float:
+    # q = 1, and x ** 1.0 is x: these are the printed phi2/phi3 mixes
     w, k = p.width, p.kappa
-    f2 = phi(2, k, p.lam, alpha=p.alpha, memo=memo)
-    f3 = phi(3, k, p.lam, alpha=p.alpha, memo=memo)
-    d2x, d2a, d2b = _second_derivs(p, fn, memo)
-    return (p.x - p.a) ** (k + 1.0) / w * (d2x * f2 + p.m * d2a * f3) \
-        + (p.mb - p.x) ** (k + 1.0) / w * (d2x * f2 + p.m * d2b * f3)
+    _, ga, gb = _power_mean_terms(p, fn, memo)
+    return (p.x - p.a) ** (k + 1.0) / w * ga + (p.mb - p.x) ** (k + 1.0) / w * gb
 
 
 def _printed_midpoint_pm(p: Params, fn: FnTriple, memo: dict | None) -> float:
@@ -528,7 +513,7 @@ def _printed_2a_d(p: Params, fn: FnTriple, memo: dict | None) -> float:
            + 3.0 ** (al + 3.0) * (al + 2.0)
            + 8.0 * 3.0 ** (al - 1.0) * (al + 2.0) * (al + 3.0)) / den
     return w ** 2 / 162.0 * (81.0 / 8.0) ** (1.0 / q) \
-        * _inner_mixes(p, fn, memo, f2p, f3p)
+        * sum(_mixes(p, fn, memo, f2p, f3p, 1.0))
 
 
 def _printed_2a_e(p: Params, fn: FnTriple, memo: dict | None) -> float:
@@ -543,9 +528,9 @@ def _printed_2a_e(p: Params, fn: FnTriple, memo: dict | None) -> float:
 
 def _printed_2a_f(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, q, al = p.width, p.q, p.alpha
-    # m * 1.0 is m exactly: the printed 3 |f''(x)|^q + m |f''(a/m)|^q
+    # 1.0 * m is m exactly: the printed 3 |f''(x)|^q + m |f''(a/m)|^q
     return w ** 2 / 48.0 * (1.0 / (al + 3.0)) ** (1.0 / q) \
-        * _inner_mixes(p, fn, memo, 3.0, 1.0)
+        * sum(_mixes(p, fn, memo, 3.0, 1.0, 1.0))
 
 
 def _printed_2a_g(p: Params, fn: FnTriple, memo: dict | None) -> float:
@@ -554,7 +539,7 @@ def _printed_2a_g(p: Params, fn: FnTriple, memo: dict | None) -> float:
     f3 = al * (k + 1.0) / (2.0 * (al + 2.0)) - k / ((k + 2.0) * (k + al + 2.0))
     f1 = k * (k + 3.0) / (2.0 * (k + 2.0))
     pref = f1 ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
-    return w ** 2 / (8.0 * (k + 1.0)) * pref * _inner_mixes(p, fn, memo, f2, f3)
+    return w ** 2 / (8.0 * (k + 1.0)) * pref * sum(_mixes(p, fn, memo, f2, f3, 1.0))
 
 
 def _printed_2a_h(p: Params, fn: FnTriple, memo: dict | None) -> float:
@@ -562,53 +547,47 @@ def _printed_2a_h(p: Params, fn: FnTriple, memo: dict | None) -> float:
     f2 = (al + 4.0) / ((al + 2.0) * (al + 3.0))
     f3 = (3.0 * al ** 2 + 8.0 * al - 2.0) / (3.0 * (al + 2.0) * (al + 3.0))
     pref = (2.0 / 3.0) ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
-    return w ** 2 / 16.0 * pref * _inner_mixes(p, fn, memo, f2, f3)
+    return w ** 2 / 16.0 * pref * sum(_mixes(p, fn, memo, f2, f3, 1.0))
 
 
 def _printed_2b_a(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, k = p.width, p.kappa
-    pp = p.q / (p.q - 1.0)
-    ga, gb = _holder_inner(p, fn, memo)
+    pp, ga, gb = _hoelder_terms(p, fn, memo)
     f4 = phi(4, k, p.lam, p=pp, memo=memo)
     return f4 ** (1.0 / pp) * w ** 2 / (8.0 * (k + 1.0)) * (ga + gb)
 
 
 def _printed_2b_c(p: Params, fn: FnTriple, memo: dict | None) -> float:
-    pp = p.q / (p.q - 1.0)
+    pp, ga, gb = _hoelder_terms(p, fn, memo)
     # as circulated: no 1/(p+1) on the 2F1 term
     f4p = (2.0 / 3.0) ** (1.0 + 2.0 * pp) * beta(1.0 + pp, 1.0 + pp) \
         + (1.0 / 3.0) ** (1.0 + pp) * hyp2f1(-pp, 1.0, pp + 2.0, 1.0 / 3.0)
-    ga, gb = _holder_inner(p, fn, memo)
     return p.width ** 2 / 16.0 * f4p ** (1.0 / pp) * (ga + gb)
 
 
 def _printed_2b_d(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, k = p.width, p.kappa
-    pp = p.q / (p.q - 1.0)
+    pp, ga, gb = _hoelder_terms(p, fn, memo)
     f4p = 1.0 / (pp * (k + 1.0) + 1.0)
-    ga, gb = _holder_inner(p, fn, memo)
     return w ** 2 / 16.0 * f4p ** (1.0 / pp) * (ga + gb)
 
 
 def _printed_2b_e(p: Params, fn: FnTriple, memo: dict | None) -> float:
     w, k = p.width, p.kappa
-    pp = p.q / (p.q - 1.0)
+    pp, ga, gb = _hoelder_terms(p, fn, memo)
     f4p = (1.0 + k) ** ((pp * (k + 1.0) + 1.0) / k) / k \
         * _beta_inc(memo, 1.0 / (1.0 + k), (1.0 + pp) / k, 1.0 + pp)
-    ga, gb = _holder_inner(p, fn, memo)
     return w ** 2 / 16.0 * f4p ** (1.0 / pp) * (ga + gb)
 
 
 def _printed_2b_g(p: Params, fn: FnTriple, memo: dict | None) -> float:
-    pp = p.q / (p.q - 1.0)
-    ga, gb = _holder_inner(p, fn, memo)
+    pp, ga, gb = _hoelder_terms(p, fn, memo)
     inc = _beta_inc(memo, 0.5, 1.0 + pp, 1.0 + pp)
     return p.width ** 2 / 4.0 * (2.0 * inc) ** (1.0 / pp) * (ga + gb)
 
 
 @dataclass(frozen=True)
 class _CorollarySpec:
-    family: str          # "pm" (power-mean) or "hoelder"
     printed: object
     x_mid: bool
     lam_req: float | None
@@ -620,57 +599,57 @@ class _CorollarySpec:
 
 _COROLLARIES = {
     "2a-a": _CorollarySpec(
-        "pm", _printed_2a_a, False, None, None, "one", True,
+        _printed_2a_a, False, None, None, "one", True,
         "coefficient prints (x-a)^(k+1)/w where the general bound has "
         "(x-a)^(k+2)/((k+1) w)"),
     "2a-b": _CorollarySpec(
-        "pm", _printed_midpoint_pm, True, None, None, "any", False,
+        _printed_midpoint_pm, True, None, None, "any", False,
         "midpoint form; references the moment symbols, matches the "
         "general bound exactly"),
     "2a-c": _CorollarySpec(
-        "pm", _printed_midpoint_pm, True, 1.0 / 3.0, None, "any", False,
+        _printed_midpoint_pm, True, 1.0 / 3.0, None, "any", False,
         "lambda = 1/3 midpoint form; matches the general bound exactly"),
     "2a-d": _CorollarySpec(
-        "pm", _printed_2a_d, True, 1.0 / 3.0, 1.0, "any", True,
+        _printed_2a_d, True, 1.0 / 3.0, 1.0, "any", True,
         "expanded constants (readings 23^(a+2) -> 2*3^(a+2), "
         "83^(a-1) -> 8*3^(a-1)); the phi2 constant drops a factor "
         "(alpha+3) and the phi3 constant misprints the power of 3"),
     "2a-e": _CorollarySpec(
-        "pm", _printed_2a_e, True, 0.0, None, "any", True,
+        _printed_2a_e, True, 0.0, None, "any", True,
         "symbol s read as alpha; prefactor prints (alpha*k+2) for (k+2) "
         "and the inner constant prints k where alpha belongs; coincides "
         "with the general bound only at alpha = k = 1"),
     "2a-f": _CorollarySpec(
-        "pm", _printed_2a_f, True, 0.0, 1.0, "any", True,
+        _printed_2a_f, True, 0.0, 1.0, "any", True,
         "symbol s read as alpha; the m-term misses its alpha factor, "
         "coincides with the general bound only at alpha = 1"),
     "2a-g": _CorollarySpec(
-        "pm", _printed_2a_g, True, 1.0, None, "any", True,
+        _printed_2a_g, True, 1.0, None, "any", True,
         "inner constant inherits the phi3 constant-term defect "
         "(k where alpha belongs); coincides at alpha = k"),
     "2a-h": _CorollarySpec(
-        "pm", _printed_2a_h, True, 1.0, 1.0, "any", True,
+        _printed_2a_h, True, 1.0, 1.0, "any", True,
         "m-coefficient prints (3a^2+8a-2)/(3(a+2)(a+3)); the validated "
         "moment gives a(2a+7)/(3(a+2)(a+3)), equal only at alpha = 1"),
     "2b-a": _CorollarySpec(
-        "hoelder", _printed_2b_a, True, None, None, "gt1", False,
+        _printed_2b_a, True, None, None, "gt1", False,
         "midpoint Hoelder form; matches the general bound exactly"),
     "2b-b": _CorollarySpec(
-        "hoelder", _printed_2b_a, True, 1.0 / 3.0, None, "gt1", False,
+        _printed_2b_a, True, 1.0 / 3.0, None, "gt1", False,
         "lambda = 1/3 Hoelder form; matches the general bound exactly"),
     "2b-c": _CorollarySpec(
-        "hoelder", _printed_2b_c, True, 1.0 / 3.0, 1.0, "gt1", True,
+        _printed_2b_c, True, 1.0 / 3.0, 1.0, "gt1", True,
         "the expanded phi4 omits the 1/(p+1) factor on its 2F1 term"),
     "2b-d": _CorollarySpec(
-        "hoelder", _printed_2b_d, True, 0.0, None, "gt1", True,
+        _printed_2b_d, True, 0.0, None, "gt1", True,
         "prefactor prints w^2/16 inside a general-k statement; the "
         "general bound carries w^2/(8(k+1)), equal only at k = 1"),
     "2b-e": _CorollarySpec(
-        "hoelder", _printed_2b_e, True, 1.0, None, "gt1", True,
+        _printed_2b_e, True, 1.0, None, "gt1", True,
         "prefactor prints w^2/16 inside a general-k statement; the "
         "general bound carries w^2/(8(k+1)), equal only at k = 1"),
     "2b-g": _CorollarySpec(
-        "hoelder", _printed_2b_g, True, 1.0, 1.0, "gt1", False,
+        _printed_2b_g, True, 1.0, 1.0, "gt1", False,
         "lambda = k = 1 Hoelder form; matches the general bound exactly"),
 }
 COROLLARY_IDS = tuple(_COROLLARIES)
@@ -715,10 +694,8 @@ def corollary_check(cid: str, p: Params, fn: FnTriple,
     if unmet is not None:
         raise DomainError(unmet)
 
-    if spec.family == "pm":
-        base = bound_thm211(p, fn, memo=memo)
-    else:
-        base = bound_thm22(p, fn, memo=memo)
+    # q > 1 corollaries specialize the Hoelder route, the rest the power mean
+    base = (bound_thm22 if spec.q_req == "gt1" else bound_thm211)(p, fn, memo=memo)
     scale = (2.0 / p.width) ** (p.kappa - 1.0) if spec.x_mid else 1.0
     rep = _report("corollary:" + cid, scale * base.lhs, scale * base.rhs)
     printed_rhs = float(spec.printed(p, fn, memo))

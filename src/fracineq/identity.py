@@ -260,9 +260,15 @@ def fill_sides(pairs: list, memo: dict) -> None:
     memoized_integrals(memo, keys, side_spec, SIDE_TOL)
 
 
+def end_coef(p: Params, end: float) -> float:
+    """|x - end|^(k+2)/((k+1) w): the weight of the kernel half anchored at
+    end, in the kernel side and in both theorems' right-hand sides."""
+    k = p.kappa
+    return abs(p.x - end) ** (k + 2.0) / ((k + 1.0) * p.width)
+
+
 def _kernel_with_budget(p: Params, fn: FnTriple,
                         memo: dict | None = None) -> tuple[float, float]:
-    k, w = p.kappa, p.width
     ends = _ends(p, fn)
     got = memoized_integrals(memo, [half for _, _, half in ends], side_spec,
                              SIDE_TOL)
@@ -270,7 +276,7 @@ def _kernel_with_budget(p: Params, fn: FnTriple,
     for (end, _, _), half in zip(ends, got):
         if isinstance(half, Exception):
             raise half
-        coef = abs(p.x - end) ** (k + 2.0) / ((k + 1.0) * w)
+        coef = end_coef(p, end)
         value += coef * half.value
         budget += coef * half.abs_error_estimate
     return value, budget

@@ -49,15 +49,20 @@ def gamma(x: float) -> float:
     if not (x > 0.0) or not math.isfinite(x):
         raise DomainError("gamma requires x > 0, got %r" % (x,))
     if x < 0.5:
-        # one recurrence step keeps the Lanczos kernel in its sweet spot
-        return gamma(x + 1.0) / x
-    z = x - 1.0
-    s = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        s += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    value = _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * s
-    if value == math.inf:   # past float64, as t ** (z + 0.5) is a bit later
+        # one recurrence step keeps the Lanczos kernel in its sweet spot;
+        # it passes float64's range for x below about 5.6e-309
+        value = gamma(x + 1.0) / x
+    else:
+        z = x - 1.0
+        s = _LANCZOS[0]
+        for i in range(1, len(_LANCZOS)):
+            s += _LANCZOS[i] / (z + i)
+        t = z + _LANCZOS_G + 0.5
+        try:
+            value = _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * s
+        except OverflowError:   # t ** (z + 0.5) alone, from x = 142.37
+            value = math.inf
+    if value == math.inf:   # the product passes float64 from x = 142.215
         raise OverflowError("gamma(%r) overflows float64" % (x,))
     return value
 

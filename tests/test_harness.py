@@ -26,6 +26,8 @@ from fracineq.harness import (CSV_COLUMNS, DEFAULT_CONFIG, SweepConfig, main,
 
 SMALL_SWEEP_CFG = os.path.join(os.path.dirname(__file__), "data",
                                "sweep_small.cfg")
+OFFGRID_SWEEP_CFG = os.path.join(os.path.dirname(__file__), "data",
+                                 "sweep_offgrid.cfg")
 
 
 # --- config parsing ------------------------------------------------------
@@ -298,16 +300,23 @@ def test_no_sweep_field_needs_csv_quoting(tmp_path):
 # --- one evaluation per identity point -----------------------------------
 
 def test_small_sweep_csv_digest_is_pinned(tmp_path):
-    # all seven checks, two fns, q in {1, 2}, x through the midpoint; the
-    # digest was taken before the sweep shared evaluations across checks
-    out = str(tmp_path / "rows.csv")
-    summary = run_sweep(parse_sweep_config(SMALL_SWEEP_CFG), out)
-    assert (summary.rows_total, summary.rows_held, summary.skipped) \
-        == (250, 250, 84)
-    with open(out, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    assert digest == ("1b793e91997f0f587085fdb8166217026846"
-                      "6a184bcb52c6b18328cdc3fc4893")
+    # the small sweep: all seven checks, two fns, q in {1, 2}, x through
+    # the midpoint; its digest was taken before the sweep shared
+    # evaluations across checks.  The off-grid sweep has a = 0.2, b = 0.9,
+    # so |f''| at a/m and at b is not 0 or 1 and a last-bit change in a
+    # right-hand-side mix moves its digest; it reaches all 14 corollaries.
+    for cfg, counts, digest in (
+            (SMALL_SWEEP_CFG, (250, 250, 84),
+             "1b793e91997f0f587085fdb81662170268466a184bcb52c6b18328cdc3fc4893"),
+            (OFFGRID_SWEEP_CFG, (8826, 8826, 5298),
+             "695b118a67fa80e0f23d9bcf8a761c2e1de7b612bfd4a8ebd2b9936abfe8ab97")):
+        out = str(tmp_path / "rows.csv")
+        summary = run_sweep(parse_sweep_config(cfg), out)
+        assert (summary.rows_total, summary.rows_held, summary.skipped) \
+            == counts, cfg
+        assert not summary.failed, cfg
+        with open(out, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, cfg
 
 
 def _spy(monkeypatch, module, name):
@@ -679,7 +688,9 @@ def test_cli_phi4_truncated_series_exits_1_without_a_traceback():
             # stderr
             "phi 4 --kappa 1 --lambda 1 --p 1e308 --oracle",
             # gamma(142.24) is past float64: phi4 raises, not reads 0.0
-            "phi 4 --kappa 1 --lambda 0.5 --p 70.12 --oracle"):
+            "phi 4 --kappa 1 --lambda 0.5 --p 70.12 --oracle",
+            # gamma(142.5)'s power itself overflows: the message names gamma
+            "phi 4 --kappa 1 --lambda 0.5 --p 141.5"):
         out = subprocess.run(
             [sys.executable, "-m", "fracineq.harness"] + args.split(),
             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
@@ -688,6 +699,8 @@ def test_cli_phi4_truncated_series_exits_1_without_a_traceback():
         assert out.stderr.startswith("numerical failure: "), args
         assert out.stderr.count("\n") == 1 and out.stderr.endswith("\n")
         assert "Traceback" not in out.stderr and out.stdout == "", args
+    # the last command's line names gamma and its argument
+    assert out.stderr == "numerical failure: gamma(142.5) overflows float64\n"
 
 
 _EDGE_VALUES = ("0", "5e-324", "1e-3", "0.5", "1", "2", "70.12", "1e308",

@@ -67,6 +67,32 @@ def test_residual_on_asymmetric_point(name):
     assert chk.residual <= 1e-10
 
 
+def test_residual_holds_at_random_points_for_every_fn():
+    # both sides agree within their budget over random valid Params: a and m
+    # at or off 0 and 1, widths from 1e-3 to 3, x anywhere in [a, m b] with
+    # both ends.  kappa stays >= 0.05; from kappa = 1e-3 the small-kappa
+    # defect of the one-sided integrals fails it (see the strict xfails)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    unit = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+
+    @hyp.settings(max_examples=500, derandomize=True, deadline=None,
+                  database=None)
+    @hyp.given(st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+               st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+               st.floats(1e-3, 3.0), unit, unit, st.floats(0.05, 8.0))
+    def check(a, m, w, t, lam, kappa):
+        b = (a + w) / m
+        mb = m * b
+        x = {0.0: a, 1.0: mb}.get(t, min(a + t * (mb - a), mb))
+        p = Params(a=a, b=b, m=m, x=x, lam=lam, kappa=kappa)
+        for name, fn in FNS.items():
+            chk = residual(p, fn)
+            assert chk.ok, (name, p, chk)
+
+    check()
+
+
 def test_orientation_is_discriminated():
     """The alternate reading (operators anchored at the interval ends,
     evaluated at x) is not the identity; the residual oracle must reject

@@ -50,10 +50,17 @@ def test_gamma_domain():
 def test_gamma_raises_where_its_product_overflows():
     # the Lanczos product passes float64's range at about x = 142.215, a
     # little before t ** (z + 0.5) alone does (142.37): in between gamma
-    # read inf and beta(139.3, 3) read 0.0, where it is 7.24e-7
+    # read inf and beta(139.3, 3) read 0.0, where it is 7.24e-7.  Past
+    # 142.37 the power raised Python's own unnamed OverflowError, and below
+    # about 5.6e-309 the x < 0.5 recurrence read inf (so did beta there)
     assert math.isfinite(gamma(142.2))
-    for call in (lambda: gamma(142.3), lambda: beta(139.3, 3.0)):
-        with pytest.raises(OverflowError):
+    for call, arg in ((lambda: gamma(142.3), 142.3),
+                      (lambda: beta(139.3, 3.0), 142.3),
+                      (lambda: gamma(142.5), 142.5),
+                      (lambda: gamma(5e-324), 5e-324),
+                      (lambda: beta(5e-324, 1.0), 5e-324)):
+        with pytest.raises(OverflowError,
+                           match=r"^gamma\(%r\) overflows float64$" % arg):
             call()
 
 
