@@ -35,8 +35,8 @@ import numpy as np
 
 from .amconvex import FnTriple, is_admitted
 from .errors import AdmissionError, ConvergenceError, DomainError, check_unit_interval
-from .identity import (Params, direct_with_budget, end_coef, memoized,
-                       memoized_integrals)
+from .identity import (Params, direct_with_budget, end_coef, kernel_cuts,
+                       memoized, memoized_integrals)
 from .quad import Tolerance
 from .specfun import beta, beta_inc, hyp2f1, hyp2f1_result
 
@@ -159,25 +159,30 @@ def phi4(kappa: float, lam: float, p: float, memo: dict | None = None) -> float:
 
 # --- quadrature oracle -----------------------------------------------------
 
+# which -> (closed form of (kappa, lam, extra, memo), oracle integrand of
+# (t, kernel value, extra), the argument extra is: None, "alpha" or "p").
+# The closed forms are looked up at call time, so wrapping phi1..phi4 sees them.
+_MOMENTS = {
+    1: (lambda k, lam, _, memo: phi1(k, lam), lambda t, kern, _: t * kern, None),
+    2: (lambda k, lam, al, memo: phi2(k, lam, al),
+        lambda t, kern, al: t ** (1.0 + al) * kern, "alpha"),
+    3: (lambda k, lam, al, memo: phi3(k, lam, al),
+        lambda t, kern, al: t * (1.0 - t ** al) * kern, "alpha"),
+    4: (lambda k, lam, p, memo: phi4(k, lam, p, memo=memo),
+        lambda t, kern, p: t ** p * kern ** p, "p"),
+}
+_CHECK_ARG = {"alpha": lambda al: check_unit_interval("alpha", al), "p": _check_p}
+
+
 def _moment_key(which: int, kappa: float, lam: float, alpha, p) -> tuple:
-    # phi1 reads neither alpha nor p, phi2/phi3 alpha, phi4 p: extra is the
-    # one it reads, and it must be given
-    if which not in (1, 2, 3, 4):
+    # extra is the one argument the moment reads, and it must be given
+    if which not in tuple(_MOMENTS):
         raise DomainError("which must be 1..4, got %r" % (which,))
-    extra = None if which == 1 else p if which == 4 else alpha
-    if which != 1 and extra is None:
-        raise DomainError("phi4 needs p" if which == 4 else "phi%d needs alpha" % which)
+    arg = _MOMENTS[which][2]
+    extra = {"alpha": alpha, "p": p}.get(arg)
+    if arg and extra is None:
+        raise DomainError("phi%d needs %s" % (which, arg))
     return (which, kappa, lam, extra)
-
-
-def _closed_form(which, kappa, lam, extra, memo):
-    if which == 1:
-        return phi1(kappa, lam)
-    if which == 2:
-        return phi2(kappa, lam, extra)
-    if which == 3:
-        return phi3(kappa, lam, extra)
-    return phi4(kappa, lam, extra, memo=memo)
 
 
 def phi(which: int, kappa: float, lam: float, *,
@@ -189,44 +194,29 @@ def phi(which: int, kappa: float, lam: float, *,
     its incomplete beta through the same memo.
     """
     key = _moment_key(which, kappa, lam, alpha, p)
-    return memoized(memo, ("phi",) + key, lambda: _closed_form(*key, memo))
+    return memoized(memo, ("phi",) + key,
+                    lambda: _MOMENTS[which][0](*key[1:], memo))
 
 
 def _oracle_spec(key: tuple, shared: dict) -> tuple:
     """(jobs, scale) of a phi_oracle memo key: phi_oracle's argument
     checks, then its (integrand, lo, hi) segments, summed.
 
-    Splits at the kink t*; within each segment the kernel sign is fixed,
-    so no abs() enters the integrand.
+    Cut at identity.kernel_cuts; within each segment the kernel sign is
+    fixed, so no abs() enters the integrand.
     """
     _, which, kappa, lam, extra = key
     _check_kl(kappa, lam)
-    if which in (2, 3):
-        check_unit_interval("alpha", extra)
-    if which == 4:
-        _check_p(extra)
+    _, moment, arg = _MOMENTS[which]
+    if arg:
+        _CHECK_ARG[arg](extra)
+    c, cuts = kernel_cuts(kappa, lam)
+    signs = (1.0, -1.0) if len(cuts) == 3 else (1.0 if c >= 1.0 else -1.0,)
 
-    c = (kappa + 1.0) * lam
-    if c <= 0.0:
-        segments = [(0.0, 1.0, -1.0)]
-    elif c >= 1.0:
-        segments = [(0.0, 1.0, 1.0)]
-    else:
-        tstar = c ** (1.0 / kappa)
-        segments = [(0.0, tstar, 1.0), (tstar, 1.0, -1.0)]
+    def job(sign):
+        return lambda t: moment(t, np.maximum(sign * (c - t ** kappa), 0.0), extra)
 
-    def integrand(t, sign):
-        kern = np.maximum(sign * (c - t ** kappa), 0.0)
-        if which == 1:
-            return t * kern
-        if which == 2:
-            return t ** (1.0 + extra) * kern
-        if which == 3:
-            return t * (1.0 - t ** extra) * kern
-        return t ** extra * kern ** extra
-
-    return [(lambda t, sign=sign: integrand(t, sign), lo, hi)
-            for lo, hi, sign in segments], 1.0
+    return [(job(sign), lo, hi) for lo, hi, sign in zip(cuts, cuts[1:], signs)], 1.0
 
 
 def phi_oracle(which: int, kappa: float, lam: float, *,

@@ -206,18 +206,23 @@ def direct_side(p: Params, fn: FnTriple) -> float:
     return _direct_with_budget(p, fn)[0]
 
 
+def kernel_cuts(k: float, lam: float) -> tuple:
+    """(c, cuts): c = (k+1) lam, and [0, t*, 1] with t* = c^(1/k), where the
+    kernel c - t^k changes sign, when 0 < c < 1; else [0, 1]."""
+    c = (k + 1.0) * lam
+    return c, [0.0, c ** (1.0 / k), 1.0] if 0.0 < c < 1.0 else [0.0, 1.0]
+
+
 def _kernel_pieces(fn: FnTriple, anchor: float, x: float, lam: float,
                    k: float, shared: dict) -> list:
     """The (integrand, lo, hi) jobs of one kernel half.
 
     The half is int_0^1 t ((k+1)lam - t^k) f''(anchor + t (x - anchor)) dt,
-    split at t* = ((k+1)lam)^(1/k) when that point is interior.  The t^k
-    and f'' samples of each distinct node block are computed once in
-    shared, for every half that samples it: t^k per kappa, f'' per (fn,
-    anchor, x).
+    cut at kernel_cuts.  The t^k and f'' samples of each distinct node
+    block are computed once in shared, for every half that samples it:
+    t^k per kappa, f'' per (fn, anchor, x).
     """
-    c = (k + 1.0) * lam
-    cuts = [0.0, c ** (1.0 / k), 1.0] if 0.0 < c < 1.0 else [0.0, 1.0]
+    c, cuts = kernel_cuts(k, lam)
     ddf, span = fn.ddf, x - anchor
     pows = shared.setdefault(("pow", k), {})
     derivs = shared.setdefault(("ddf", fn, anchor, x), {})
