@@ -37,7 +37,7 @@ from .amconvex import FnTriple, is_admitted
 from .errors import AdmissionError, ConvergenceError, DomainError, check_unit_interval
 from .identity import (Params, direct_with_budget, end_coef, kernel_cuts,
                        memoized, memoized_integrals)
-from .quad import Tolerance
+from .quad import Tolerance, unwrap
 from .specfun import beta, beta_inc, hyp2f1, hyp2f1_result
 
 HOLDS_SLACK = 1e-9
@@ -230,9 +230,7 @@ def phi_oracle(which: int, kappa: float, lam: float, *,
     computed once per sweep (fill_phi_oracles computes many in one batch).
     """
     key = ("phi-oracle",) + _moment_key(which, kappa, lam, alpha, p)
-    res, = memoized_integrals(memo, [key], _oracle_spec, _ORACLE_TOL)
-    if isinstance(res, Exception):
-        raise res
+    res, = unwrap(memoized_integrals(memo, [key], _oracle_spec, _ORACLE_TOL))
     return res.value
 
 
@@ -374,10 +372,8 @@ def _simpson_blend_lhs(fn: FnTriple, a: float, b: float, lam: float,
                        memo: dict | None = None) -> float:
     mid = 0.5 * (a + b)
     # the average reads no lambda: one integral per (fn, a, b)
-    total, = memoized_integrals(memo, [("simpson-avg", fn, a, b)],
-                                _average_spec, _LHS_TOL)
-    if isinstance(total, Exception):
-        raise total
+    total, = unwrap(memoized_integrals(memo, [("simpson-avg", fn, a, b)],
+                                       _average_spec, _LHS_TOL))
     avg = total.value / (b - a)
     return abs((1.0 - lam) * float(fn.f(mid))
                + lam * 0.5 * (float(fn.f(a)) + float(fn.f(b))) - avg)

@@ -34,7 +34,7 @@ import numpy as np
 from .amconvex import FnTriple
 from .errors import DomainError, check_unit_interval
 from .fracint import rl_job
-from .quad import QuadResult, Tolerance, integrate_batch
+from .quad import QuadResult, Tolerance, integrate_batch, unwrap
 from .specfun import gamma
 
 # slack on top of the propagated quadrature budget in the residual test
@@ -192,9 +192,7 @@ def _direct_with_budget(p: Params, fn: FnTriple,
     gk1 = gamma(k + 1.0)
     frac, budget = 0.0, 0.0
     keys = [rl for _, rl, _ in _ends(p, fn)]
-    for res in memoized_integrals(memo, keys, side_spec, SIDE_TOL):
-        if isinstance(res, Exception):
-            raise res
+    for res in unwrap(memoized_integrals(memo, keys, side_spec, SIDE_TOL)):
         frac += res.value
         budget += res.abs_error_estimate
     value -= gk1 / w * frac
@@ -275,12 +273,10 @@ def end_coef(p: Params, end: float) -> float:
 def _kernel_with_budget(p: Params, fn: FnTriple,
                         memo: dict | None = None) -> tuple[float, float]:
     ends = _ends(p, fn)
-    got = memoized_integrals(memo, [half for _, _, half in ends], side_spec,
-                             SIDE_TOL)
+    got = unwrap(memoized_integrals(memo, [half for _, _, half in ends],
+                                    side_spec, SIDE_TOL))
     value, budget = 0.0, 0.0
     for (end, _, _), half in zip(ends, got):
-        if isinstance(half, Exception):
-            raise half
         coef = end_coef(p, end)
         value += coef * half.value
         budget += coef * half.abs_error_estimate

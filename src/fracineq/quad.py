@@ -12,12 +12,12 @@ bit of any result; integrate is a batch of one.  A job whose integrand
 returns numpy arrays also samples its likely next splits (LOOKAHEAD).
 
 integrate_singular handles integrands with an explicit endpoint weight
-(t - lo)^p_lo (hi - t)^p_hi, p > -1, by the power substitution
-t = lo + v^k: with k chosen so that k (p+1) - 1 >= 3 the transformed
-integrand is smooth enough for the plain rule.  singular_jobs builds
-those substituted jobs without running them, so callers can put them in
-a batch.  Interior kinks are the caller's problem; callers are expected
-to split at known kink locations.
+(t - lo)^p_lo (hi - t)^p_hi, p > -1, by the power substitution t = lo + v^k,
+which makes them smooth enough for the plain rule; with p + 1 < 0.5 the
+integrand's value at the endpoint is subtracted first.  singular_jobs
+builds those jobs without running them, so callers can put them in a
+batch.  Interior kinks are the caller's problem; callers are expected to
+split at known kink locations.
 """
 
 from __future__ import annotations
@@ -359,6 +359,15 @@ def integrate_batch(jobs: list, tol: Tolerance | None = None) -> list:
     return out
 
 
+def unwrap(results: list) -> list:
+    """results, a list from integrate_batch, once no entry is an error;
+    the first error in it is raised."""
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return results
+
+
 def integrate(f: Callable[[float], float], lo: float, hi: float,
               tol: Tolerance | None = None) -> QuadResult:
     """Integrate f over the finite interval [lo, hi].
@@ -368,10 +377,7 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
     estimate) if max_subdiv bisections do not reach tolerance or a rule
     sum overflows although every sample is finite.
     """
-    got = integrate_batch([(f, lo, hi)], tol)[0]
-    if isinstance(got, Exception):
-        raise got
-    return got
+    return unwrap(integrate_batch([(f, lo, hi)], tol))[0]
 
 
 def _is_nonneg_integer(p: float) -> bool:
@@ -379,15 +385,22 @@ def _is_nonneg_integer(p: float) -> bool:
 
 
 def _one_sided(g, A: float, B: float, p: float, at_lower: bool) -> tuple:
-    """The substituted (h, lo, hi) job of g(t) * |t - endpoint|^p, anchored at A or B."""
-    k = max(2, math.ceil(4.0 / (p + 1.0)))  # k (p+1) - 1 >= 3: C^3 at v = 0
+    """The substituted (h, lo, hi) job of g(t) * |t - endpoint|^p, anchored at A or B.
+
+    With p + 1 < 0.5, g at the anchor is subtracted and its exact weighted
+    integral added back as a constant over [0, vmax] (singularity subtraction).
+    """
+    subtract = p + 1.0 < 0.5 and B > A
+    # k (p+1) - 1 >= 3 makes h C^3 at v = 0; k (p+2) - 1 >= 3 once g is subtracted
+    k = max(2, math.ceil(4.0 / (p + 2.0 if subtract else p + 1.0)))
     vmax = (B - A) ** (1.0 / k)
     expo = k * (p + 1.0) - 1.0
-    if at_lower:
-        h = lambda v: k * v ** expo * g(A + v ** k)
-    else:
-        h = lambda v: k * v ** expo * g(B - v ** k)
-    return h, 0.0, vmax
+    at = (lambda v: A + v ** k) if at_lower else (lambda v: B - v ** k)
+    if not subtract:
+        return (lambda v: k * v ** expo * g(at(v))), 0.0, vmax
+    g0 = float(g(at(0.0)))
+    exact = g0 * (B - A) ** (p + 1.0) / (p + 1.0)
+    return (lambda v: k * v ** expo * (g(at(v)) - g0) + exact / vmax), 0.0, vmax
 
 
 def singular_jobs(f: Callable[[float], float], lo: float, hi: float,
@@ -443,7 +456,7 @@ def integrate_singular(f: Callable[[float], float], lo: float, hi: float,
     if len(jobs) < 2:
         return integrate(*jobs[0], tol)
     half_tol = Tolerance(tol.abs_tol * 0.5, tol.rel_tol, tol.max_subdiv)
-    r1, r2 = [integrate(*job, half_tol) for job in jobs]
+    r1, r2 = unwrap(integrate_batch(jobs, half_tol))
     return QuadResult(r1.value + r2.value,
                       r1.abs_error_estimate + r2.abs_error_estimate,
                       r1.subdivisions + r2.subdivisions)

@@ -82,14 +82,11 @@ def test_domain_errors():
         rl_right(math.exp, 1.0, math.nan, 0.5)
 
 
-@pytest.mark.xfail(strict=True, reason="at kappa = 1e-3 the substitution "
-                   "t = v^4000 leaves every GK15 node of the first round "
-                   "sampling about 0, and the absolute tolerance accepts it "
-                   "(ROADMAP aim 3)")
 def test_right_integral_at_a_small_order():
     # pow-2.5, f = x^2.5/3.75: J^k[0.5-] f(0) = 0.5^(2.5+k) / ((2.5+k) 3.75
-    # Gamma(k)), 1.8846e-5 at k = 1e-3 by mpmath at 40 digits; the
-    # quadrature returns 5.4e-22 +- 1.1e-21 in 0 subdivisions
+    # Gamma(k)), 1.8846e-5 at k = 1e-3 by mpmath at 40 digits.  The weight
+    # t^(-0.999) is handled by subtracting f(0); t = v^4000 alone left every
+    # GK15 node of the first round sampling about 0 (5.4e-22 +- 1.1e-21)
     f = corpus_by_name()["pow-2.5"].fn.f
     res = rl_right_result(f, 0.5, 1e-3, 0.0)
     assert res.value == pytest.approx(1.8846440857151318e-05, rel=1e-9)

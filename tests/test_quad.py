@@ -6,7 +6,7 @@ import pytest
 
 from fracineq import DomainError, EvaluationError, ConvergenceError, quad
 from fracineq.quad import (_EPS, QuadResult, Tolerance, _rule, integrate,
-                           integrate_batch, integrate_singular)
+                           integrate_batch, integrate_singular, singular_jobs)
 
 
 @pytest.mark.parametrize("f,lo,hi,expect", [
@@ -407,7 +407,8 @@ def test_non_finite_weight_exponent_rejected():
 
 
 @pytest.mark.parametrize("p_lo,p_hi", [
-    (0.0, 0.0), (2.0, -0.5), (-0.5, 1.0), (-0.5, -0.5), (0.5, 0.3)])
+    (0.0, 0.0), (2.0, -0.5), (-0.5, 1.0), (-0.5, -0.5), (0.5, 0.3),
+    (-0.999, 0.0), (1.0, -0.7), (-0.7, -0.999)])
 def test_weighted_integral_over_an_empty_interval_is_zero(p_lo, p_hi):
     # every weight shape: no sample is taken, and the result is exactly 0
     calls = []
@@ -425,6 +426,39 @@ def test_singular_both_ends_asymmetric():
     res = integrate_singular(lambda t: 1.0 + t, 0.0, 1.0, -0.3, 0.4)
     expect = beta(0.7, 1.4) + beta(1.7, 1.4)
     assert abs(res.value - expect) <= 1e-11
+
+
+def test_both_singular_ends_run_in_one_batch():
+    # the two halves, each at half the absolute tolerance, advance in one
+    # lockstep batch and give the bits each gives alone, summed in order
+    f = lambda t: np.exp(t) * np.cos(3.0 * t)
+    jobs = singular_jobs(f, 0.0, 2.0, -0.3, -0.6)
+    half = Tolerance(0.5e-12, 1e-12, 2000)
+    alone = []
+    for job in jobs:
+        start = quad.WORK[:]
+        alone.append((integrate(*job, half), _work_since(start)[0]))
+    start = quad.WORK[:]
+    res = integrate_singular(f, 0.0, 2.0, -0.3, -0.6)
+    assert _work_since(start)[0] == max(rounds for _, rounds in alone)
+    (r1, _), (r2, _) = alone
+    assert res == QuadResult(r1.value + r2.value,
+                             r1.abs_error_estimate + r2.abs_error_estimate,
+                             r1.subdivisions + r2.subdivisions)
+
+
+@pytest.mark.parametrize("p", [-0.6, -0.999, -0.9999])
+def test_a_weight_near_the_non_integrable_edge_sees_its_integrand(p):
+    # int_0^1 t^p e^t dt = sum_n 1/(n! (n + p + 1)).  With p + 1 < 0.5 the
+    # anchor value e^0 is subtracted and integrated exactly; under t = v^k
+    # alone (k = 40,000 at p = -0.9999) every node of the first round sat
+    # where e^t - 1 reads about 0.  Mirrored at the upper end too.
+    expect = math.fsum(1.0 / (math.factorial(n) * (n + p + 1.0))
+                       for n in range(30))
+    lower = integrate_singular(math.exp, 0.0, 1.0, p, 0.0)
+    upper = integrate_singular(lambda t: math.exp(1.0 - t), 0.0, 1.0, 0.0, p)
+    assert lower.value == pytest.approx(expect, rel=1e-13)
+    assert upper.value == pytest.approx(expect, rel=1e-13)
 
 
 # --- the one-branch GK15 rule against its two-call form ----------------------
