@@ -360,8 +360,8 @@ def integrate_batch(jobs: list, tol: Tolerance | None = None) -> list:
 
 
 def unwrap(results: list) -> list:
-    """results, a list from integrate_batch, once no entry is an error;
-    the first error in it is raised."""
+    """results, of integrate_batch or memoized_integrals, once none is an
+    error: the first error among them is raised."""
     for res in results:
         if isinstance(res, Exception):
             raise res
