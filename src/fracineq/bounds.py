@@ -137,38 +137,38 @@ def _phi4_mid(kappa, lam, p):
     return first + scale * series.value
 
 
-def _phi4_upper(kappa, lam, p, memo=None):
+def _phi4_upper(kappa, lam, p):
     # c >= 1: the kink sits at or beyond t = 1
     c = (kappa + 1.0) * lam
     x, y = (1.0 + p) / kappa, 1.0 + p
-    inc = beta(x, y) if c == 1.0 else _beta_inc(memo, 1.0 / c, x, y)
+    inc = beta(x, y) if c == 1.0 else _beta_inc(1.0 / c, x, y)
     return c ** ((p * (kappa + 1.0) + 1.0) / kappa) / kappa * inc
 
 
-def phi4(kappa: float, lam: float, p: float, memo: dict | None = None) -> float:
-    """Corrected closed form (1/kappa on the middle-branch 2F1 term); with a
-    memo, its incomplete beta is shared with the printed 2b-e and 2b-g."""
+def phi4(kappa: float, lam: float, p: float) -> float:
+    """Corrected closed form (1/kappa on the middle-branch 2F1 term); in a
+    sweep, its incomplete beta is shared with the printed 2b-e and 2b-g."""
     _check_kl(kappa, lam)
     _check_p(p)
     if lam == 0.0:
         return 1.0 / (p * (kappa + 1.0) + 1.0)
     if lam < 1.0 / (kappa + 1.0):
         return _phi4_mid(kappa, lam, p)
-    return _phi4_upper(kappa, lam, p, memo)
+    return _phi4_upper(kappa, lam, p)
 
 
 # --- quadrature oracle -----------------------------------------------------
 
-# which -> (closed form of (kappa, lam, extra, memo), oracle integrand of
+# which -> (closed form of (kappa, lam, extra), oracle integrand of
 # (t, kernel value, extra), the argument extra is: None, "alpha" or "p").
 # The closed forms are looked up at call time, so wrapping phi1..phi4 sees them.
 _MOMENTS = {
-    1: (lambda k, lam, _, memo: phi1(k, lam), lambda t, kern, _: t * kern, None),
-    2: (lambda k, lam, al, memo: phi2(k, lam, al),
+    1: (lambda k, lam, _: phi1(k, lam), lambda t, kern, _: t * kern, None),
+    2: (lambda k, lam, al: phi2(k, lam, al),
         lambda t, kern, al: t ** (1.0 + al) * kern, "alpha"),
-    3: (lambda k, lam, al, memo: phi3(k, lam, al),
+    3: (lambda k, lam, al: phi3(k, lam, al),
         lambda t, kern, al: t * (1.0 - t ** al) * kern, "alpha"),
-    4: (lambda k, lam, p, memo: phi4(k, lam, p, memo=memo),
+    4: (lambda k, lam, p: phi4(k, lam, p),
         lambda t, kern, p: t ** p * kern ** p, "p"),
 }
 _CHECK_ARG = {"alpha": lambda al: check_unit_interval("alpha", al), "p": _check_p}
@@ -186,16 +186,14 @@ def _moment_key(which: int, kappa: float, lam: float, alpha, p) -> tuple:
 
 
 def phi(which: int, kappa: float, lam: float, *,
-        alpha: float | None = None, p: float | None = None,
-        memo: dict | None = None) -> float:
+        alpha: float | None = None, p: float | None = None) -> float:
     """Closed form of phi<which>; arguments as for phi_oracle.
 
-    With a memo each moment is computed once per sweep, and phi4 shares
-    its incomplete beta through the same memo.
+    In a sweep each moment is computed once, and phi4 shares its
+    incomplete beta through the sweep's memo.
     """
     key = _moment_key(which, kappa, lam, alpha, p)
-    return memoized(memo, ("phi",) + key,
-                    lambda: _MOMENTS[which][0](*key[1:], memo))
+    return memoized(("phi",) + key, lambda: _MOMENTS[which][0](*key[1:]))
 
 
 def _oracle_spec(key: tuple, shared: dict) -> tuple:
@@ -220,26 +218,25 @@ def _oracle_spec(key: tuple, shared: dict) -> tuple:
 
 
 def phi_oracle(which: int, kappa: float, lam: float, *,
-               alpha: float | None = None, p: float | None = None,
-               memo: dict | None = None) -> float:
+               alpha: float | None = None, p: float | None = None) -> float:
     """Evaluate the defining integral of phi<which> by quadrature.
 
     Integrates the segments between the kink t* and the ends in one
     batch and sums them in order.  Completely independent of the closed
-    forms and of the beta/2F1 machinery.  With a memo the value is
-    computed once per sweep (fill_phi_oracles computes many in one batch).
+    forms and of the beta/2F1 machinery.  In a sweep the value is computed
+    once (fill_phi_oracles computes many in one batch).
     """
     key = ("phi-oracle",) + _moment_key(which, kappa, lam, alpha, p)
-    res, = unwrap(memoized_integrals(memo, [key], _oracle_spec, _ORACLE_TOL))
+    res, = unwrap(memoized_integrals([key], _oracle_spec, _ORACLE_TOL))
     return res.value
 
 
-def fill_phi_oracles(specs, memo: dict) -> None:
-    """Compute phi_oracle of each (which, kappa, lam, alpha, p) of specs
-    not in memo, at the default tolerance, in one memoized_integrals call;
-    a spec without the alpha or p its moment reads raises DomainError first."""
+def fill_phi_oracles(specs) -> None:
+    """Compute phi_oracle of each (which, kappa, lam, alpha, p) of specs at
+    the default tolerance, in one memoized_integrals call; a spec without
+    the alpha or p its moment reads raises DomainError first."""
     keys = [("phi-oracle",) + _moment_key(*spec) for spec in specs]
-    memoized_integrals(memo, keys, _oracle_spec, _ORACLE_TOL)
+    memoized_integrals(keys, _oracle_spec, _ORACLE_TOL)
 
 
 # --- reports ---------------------------------------------------------------
@@ -279,33 +276,32 @@ def _require_admitted(fn: FnTriple, alpha: float, m: float, q: float,
             report=report)
 
 
-def _second_derivs(p: Params, fn: FnTriple, memo: dict | None) -> tuple:
-    """|f''| at x, a/m and b, once per (fn, x, a, m, b) in a memo."""
-    return memoized(memo, ("second-derivs", fn, p.x, p.a, p.m, p.b),
+def _second_derivs(p: Params, fn: FnTriple) -> tuple:
+    """|f''| at x, a/m and b, once per (fn, x, a, m, b) in a sweep."""
+    return memoized(("second-derivs", fn, p.x, p.a, p.m, p.b),
                     lambda: tuple(abs(float(fn.ddf(u)))
                                   for u in (p.x, p.a / p.m, p.b)))
 
 
-def _mixes(p: Params, fn: FnTriple, memo: dict | None, c2: float, c3: float,
-           den: float) -> tuple:
+def _mixes(p: Params, fn: FnTriple, c2: float, c3: float, den: float) -> tuple:
     """((c2 |f''(x)|^q + c3 m |f''(a/m)|^q)/den)^(1/q) and the same at b."""
-    d2x, d2a, d2b = _second_derivs(p, fn, memo)
+    d2x, d2a, d2b = _second_derivs(p, fn)
     q = p.q
     return tuple(((c2 * d2x ** q + c3 * p.m * d ** q) / den) ** (1.0 / q)
                  for d in (d2a, d2b))
 
 
-def _hoelder_terms(p: Params, fn: FnTriple, memo: dict | None) -> tuple:
+def _hoelder_terms(p: Params, fn: FnTriple) -> tuple:
     """The Hoelder exponent q/(q-1) and the flat (alpha+1) mixes at p."""
-    return (p.q / (p.q - 1.0),) + _mixes(p, fn, memo, 1.0, p.alpha, p.alpha + 1.0)
+    return (p.q / (p.q - 1.0),) + _mixes(p, fn, 1.0, p.alpha, p.alpha + 1.0)
 
 
-def _power_mean_terms(p: Params, fn: FnTriple, memo: dict | None) -> tuple:
+def _power_mean_terms(p: Params, fn: FnTriple) -> tuple:
     """phi1^(1-1/q) and the a- and b-side phi2/phi3 mixes ^(1/q) at p."""
-    f1 = phi(1, p.kappa, p.lam, memo=memo)
-    f2 = phi(2, p.kappa, p.lam, alpha=p.alpha, memo=memo)
-    f3 = phi(3, p.kappa, p.lam, alpha=p.alpha, memo=memo)
-    d2x, d2a, d2b = _second_derivs(p, fn, memo)
+    f1 = phi(1, p.kappa, p.lam)
+    f2 = phi(2, p.kappa, p.lam, alpha=p.alpha)
+    f3 = phi(3, p.kappa, p.lam, alpha=p.alpha)
+    d2x, d2a, d2b = _second_derivs(p, fn)
     q = p.q
     # (m |f''|^q) phi3 here, (c3 m) |f''|^q in _mixes: merging them moves last bits
     ia = d2x ** q * f2 + p.m * d2a ** q * f3
@@ -314,38 +310,36 @@ def _power_mean_terms(p: Params, fn: FnTriple, memo: dict | None) -> tuple:
     return pref, ia ** (1.0 / q), ib ** (1.0 / q)
 
 
-def _theorem_lhs(p: Params, fn: FnTriple, memo: dict | None) -> float:
+def _theorem_lhs(p: Params, fn: FnTriple) -> float:
     # admission first, so an unadmitted function never costs an integral
     _require_admitted(fn, p.alpha, p.m, p.q, max(p.b, p.a / p.m))
-    return abs(direct_with_budget(p, fn, memo)[0])
+    return abs(direct_with_budget(p, fn)[0])
 
 
-def bound_thm211(p: Params, fn: FnTriple,
-                 memo: dict | None = None) -> BoundReport:
+def bound_thm211(p: Params, fn: FnTriple) -> BoundReport:
     """Power-mean route: phi1^(1-1/q) with the phi2/phi3 inner mix.
 
-    With a memo each input of the report is computed once per sweep: its
-    lhs, |direct side|, once per identity point, and each phi moment and
-    |f''| value once.
+    In a sweep each input of the report is computed once: its lhs,
+    |direct side|, once per identity point, and each phi moment and |f''|
+    value once.
     """
-    lhs = _theorem_lhs(p, fn, memo)
-    pref, ga, gb = _power_mean_terms(p, fn, memo)
+    lhs = _theorem_lhs(p, fn)
+    pref, ga, gb = _power_mean_terms(p, fn)
     rhs = pref * (end_coef(p, p.a) * ga + end_coef(p, p.mb) * gb)
     return _report("thm211", lhs, rhs)
 
 
-def bound_thm22(p: Params, fn: FnTriple,
-                memo: dict | None = None) -> BoundReport:
+def bound_thm22(p: Params, fn: FnTriple) -> BoundReport:
     """Hoelder route: phi4^(1/p) with the flat (alpha+1) inner mix; q > 1.
 
-    With a memo each input of the report is computed once per sweep, as
-    for bound_thm211.
+    In a sweep each input of the report is computed once, as for
+    bound_thm211.
     """
     if not p.q > 1.0:
         raise DomainError("the Hoelder route needs q > 1, got q=%r" % (p.q,))
-    lhs = _theorem_lhs(p, fn, memo)
-    pp, ga, gb = _hoelder_terms(p, fn, memo)
-    f4 = phi(4, p.kappa, p.lam, p=pp, memo=memo)
+    lhs = _theorem_lhs(p, fn)
+    pp, ga, gb = _hoelder_terms(p, fn)
+    f4 = phi(4, p.kappa, p.lam, p=pp)
     rhs = f4 ** (1.0 / pp) * (end_coef(p, p.a) * ga + end_coef(p, p.mb) * gb)
     return _report("thm22", lhs, rhs)
 
@@ -368,11 +362,10 @@ def _average_spec(key: tuple, shared: dict) -> tuple:
     return [(fn.f, a, b)], 1.0
 
 
-def _simpson_blend_lhs(fn: FnTriple, a: float, b: float, lam: float,
-                       memo: dict | None = None) -> float:
+def _simpson_blend_lhs(fn: FnTriple, a: float, b: float, lam: float) -> float:
     mid = 0.5 * (a + b)
     # the average reads no lambda: one integral per (fn, a, b)
-    total, = unwrap(memoized_integrals(memo, [("simpson-avg", fn, a, b)],
+    total, = unwrap(memoized_integrals([("simpson-avg", fn, a, b)],
                                        _average_spec, _LHS_TOL))
     avg = total.value / (b - a)
     return abs((1.0 - lam) * float(fn.f(mid))
@@ -394,14 +387,12 @@ def _sarikaya_terms_high(lam: float) -> tuple[float, float, float]:
 
 
 def bound_sarikaya(fn: FnTriple, a: float, b: float, lam: float, q: float,
-                   literal: bool = False,
-                   memo: dict | None = None) -> BoundReport:
+                   literal: bool = False) -> BoundReport:
     """Classical two-branch Simpson-type baseline for convex |f''|^q.
 
     The circulated lower branch prints |f''(b)|^q twice in its second
     group; the default restores the a/b symmetry (literal=False).  Pass
-    literal=True to evaluate the uncorrected form.  The lhs is taken
-    from memo when one is given.
+    literal=True to evaluate the uncorrected form.
     """
     _check_classical(fn, a, b, lam, q)
     da = abs(float(fn.ddf(a)))
@@ -412,7 +403,7 @@ def bound_sarikaya(fn: FnTriple, a: float, b: float, lam: float, q: float,
     second = db if literal and low else da
     g2 = (ca * db ** q + cb * second ** q) ** (1.0 / q)
     prefactor = pref ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
-    lhs = _simpson_blend_lhs(fn, a, b, lam, memo)
+    lhs = _simpson_blend_lhs(fn, a, b, lam)
     rhs = (b - a) ** 2 / 2.0 * prefactor * (g1 + g2)
     return _report("sarikaya-literal" if literal else "sarikaya", lhs, rhs)
 
@@ -436,12 +427,9 @@ def remark_phi3(lam: float) -> float:
     return (4.0 * lam - 1.0) / 12.0
 
 
-def remark_bound(fn: FnTriple, a: float, b: float, lam: float, q: float,
-                 memo: dict | None = None) -> BoundReport:
-    """The kappa = m = alpha = 1 specialization with its own moment table.
-
-    The lhs is taken from memo when one is given.
-    """
+def remark_bound(fn: FnTriple, a: float, b: float, lam: float,
+                 q: float) -> BoundReport:
+    """The kappa = m = alpha = 1 specialization with its own moment table."""
     _check_classical(fn, a, b, lam, q)
     mid = 0.5 * (a + b)
     dm = abs(float(fn.ddf(mid)))
@@ -451,7 +439,7 @@ def remark_bound(fn: FnTriple, a: float, b: float, lam: float, q: float,
     g1 = (dm ** q * r2 + da ** q * r3) ** (1.0 / q)
     g2 = (dm ** q * r2 + db ** q * r3) ** (1.0 / q)
     prefactor = r1 ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
-    lhs = _simpson_blend_lhs(fn, a, b, lam, memo)
+    lhs = _simpson_blend_lhs(fn, a, b, lam)
     rhs = (b - a) ** 2 / 16.0 * prefactor * (g1 + g2)
     return _report("remark", lhs, rhs)
 
@@ -472,25 +460,25 @@ class CorollaryReport(BoundReport):
     note: str
 
 
-def _beta_inc(memo: dict | None, a: float, x: float, y: float) -> float:
-    """beta_inc(a, x, y), once per sweep when a memo is given."""
-    return memoized(memo, ("beta_inc", a, x, y), lambda: beta_inc(a, x, y))
+def _beta_inc(a: float, x: float, y: float) -> float:
+    """beta_inc(a, x, y), once per sweep."""
+    return memoized(("beta_inc", a, x, y), lambda: beta_inc(a, x, y))
 
 
-def _printed_2a_a(p: Params, fn: FnTriple, memo: dict | None) -> float:
+def _printed_2a_a(p: Params, fn: FnTriple) -> float:
     # q = 1, and x ** 1.0 is x: these are the printed phi2/phi3 mixes
     w, k = p.width, p.kappa
-    _, ga, gb = _power_mean_terms(p, fn, memo)
+    _, ga, gb = _power_mean_terms(p, fn)
     return (p.x - p.a) ** (k + 1.0) / w * ga + (p.mb - p.x) ** (k + 1.0) / w * gb
 
 
-def _printed_midpoint_pm(p: Params, fn: FnTriple, memo: dict | None) -> float:
+def _printed_midpoint_pm(p: Params, fn: FnTriple) -> float:
     # the symbol-referencing midpoint form shared by several corollaries
-    pref, ga, gb = _power_mean_terms(p, fn, memo)
+    pref, ga, gb = _power_mean_terms(p, fn)
     return p.width ** 2 / (8.0 * (p.kappa + 1.0)) * pref * (ga + gb)
 
 
-def _printed_2a_d(p: Params, fn: FnTriple, memo: dict | None) -> float:
+def _printed_2a_d(p: Params, fn: FnTriple) -> float:
     w, q, al = p.width, p.q, p.alpha
     den = 3.0 ** (al + 3.0) * (al + 2.0) * (al + 3.0)
     f2p = (2.0 ** (al + 4.0) - 2.0 * 3.0 ** (al + 2.0)
@@ -499,12 +487,12 @@ def _printed_2a_d(p: Params, fn: FnTriple, memo: dict | None) -> float:
            + 3.0 ** (al + 3.0) * (al + 2.0)
            + 8.0 * 3.0 ** (al - 1.0) * (al + 2.0) * (al + 3.0)) / den
     return w ** 2 / 162.0 * (81.0 / 8.0) ** (1.0 / q) \
-        * sum(_mixes(p, fn, memo, f2p, f3p, 1.0))
+        * sum(_mixes(p, fn, f2p, f3p, 1.0))
 
 
-def _printed_2a_e(p: Params, fn: FnTriple, memo: dict | None) -> float:
+def _printed_2a_e(p: Params, fn: FnTriple) -> float:
     w, k, q, al = p.width, p.kappa, p.q, p.alpha
-    d2x, d2a, d2b = _second_derivs(p, fn, memo)
+    d2x, d2a, d2b = _second_derivs(p, fn)
     ia = d2x ** q + k * p.m * d2a ** q / (k + 2.0)
     ib = d2x ** q + k * p.m * d2b ** q / (k + 2.0)
     return w ** 2 / (8.0 * (k + 1.0) * (al * k + 2.0)) \
@@ -512,63 +500,63 @@ def _printed_2a_e(p: Params, fn: FnTriple, memo: dict | None) -> float:
         * (ia ** (1.0 / q) + ib ** (1.0 / q))
 
 
-def _printed_2a_f(p: Params, fn: FnTriple, memo: dict | None) -> float:
+def _printed_2a_f(p: Params, fn: FnTriple) -> float:
     w, q, al = p.width, p.q, p.alpha
     # 1.0 * m is m exactly: the printed 3 |f''(x)|^q + m |f''(a/m)|^q
     return w ** 2 / 48.0 * (1.0 / (al + 3.0)) ** (1.0 / q) \
-        * sum(_mixes(p, fn, memo, 3.0, 1.0, 1.0))
+        * sum(_mixes(p, fn, 3.0, 1.0, 1.0))
 
 
-def _printed_2a_g(p: Params, fn: FnTriple, memo: dict | None) -> float:
+def _printed_2a_g(p: Params, fn: FnTriple) -> float:
     w, k, q, al = p.width, p.kappa, p.q, p.alpha
     f2 = k * (k + al + 3.0) / ((al + 2.0) * (k + al + 2.0))
     f3 = al * (k + 1.0) / (2.0 * (al + 2.0)) - k / ((k + 2.0) * (k + al + 2.0))
     f1 = k * (k + 3.0) / (2.0 * (k + 2.0))
     pref = f1 ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
-    return w ** 2 / (8.0 * (k + 1.0)) * pref * sum(_mixes(p, fn, memo, f2, f3, 1.0))
+    return w ** 2 / (8.0 * (k + 1.0)) * pref * sum(_mixes(p, fn, f2, f3, 1.0))
 
 
-def _printed_2a_h(p: Params, fn: FnTriple, memo: dict | None) -> float:
+def _printed_2a_h(p: Params, fn: FnTriple) -> float:
     w, q, al = p.width, p.q, p.alpha
     f2 = (al + 4.0) / ((al + 2.0) * (al + 3.0))
     f3 = (3.0 * al ** 2 + 8.0 * al - 2.0) / (3.0 * (al + 2.0) * (al + 3.0))
     pref = (2.0 / 3.0) ** (1.0 - 1.0 / q) if q > 1.0 else 1.0
-    return w ** 2 / 16.0 * pref * sum(_mixes(p, fn, memo, f2, f3, 1.0))
+    return w ** 2 / 16.0 * pref * sum(_mixes(p, fn, f2, f3, 1.0))
 
 
-def _printed_2b_a(p: Params, fn: FnTriple, memo: dict | None) -> float:
+def _printed_2b_a(p: Params, fn: FnTriple) -> float:
     w, k = p.width, p.kappa
-    pp, ga, gb = _hoelder_terms(p, fn, memo)
-    f4 = phi(4, k, p.lam, p=pp, memo=memo)
+    pp, ga, gb = _hoelder_terms(p, fn)
+    f4 = phi(4, k, p.lam, p=pp)
     return f4 ** (1.0 / pp) * w ** 2 / (8.0 * (k + 1.0)) * (ga + gb)
 
 
-def _printed_2b_c(p: Params, fn: FnTriple, memo: dict | None) -> float:
-    pp, ga, gb = _hoelder_terms(p, fn, memo)
+def _printed_2b_c(p: Params, fn: FnTriple) -> float:
+    pp, ga, gb = _hoelder_terms(p, fn)
     # as circulated: no 1/(p+1) on the 2F1 term
     f4p = (2.0 / 3.0) ** (1.0 + 2.0 * pp) * beta(1.0 + pp, 1.0 + pp) \
         + (1.0 / 3.0) ** (1.0 + pp) * hyp2f1(-pp, 1.0, pp + 2.0, 1.0 / 3.0)
     return p.width ** 2 / 16.0 * f4p ** (1.0 / pp) * (ga + gb)
 
 
-def _printed_2b_d(p: Params, fn: FnTriple, memo: dict | None) -> float:
+def _printed_2b_d(p: Params, fn: FnTriple) -> float:
     w, k = p.width, p.kappa
-    pp, ga, gb = _hoelder_terms(p, fn, memo)
+    pp, ga, gb = _hoelder_terms(p, fn)
     f4p = 1.0 / (pp * (k + 1.0) + 1.0)
     return w ** 2 / 16.0 * f4p ** (1.0 / pp) * (ga + gb)
 
 
-def _printed_2b_e(p: Params, fn: FnTriple, memo: dict | None) -> float:
+def _printed_2b_e(p: Params, fn: FnTriple) -> float:
     w, k = p.width, p.kappa
-    pp, ga, gb = _hoelder_terms(p, fn, memo)
+    pp, ga, gb = _hoelder_terms(p, fn)
     f4p = (1.0 + k) ** ((pp * (k + 1.0) + 1.0) / k) / k \
-        * _beta_inc(memo, 1.0 / (1.0 + k), (1.0 + pp) / k, 1.0 + pp)
+        * _beta_inc(1.0 / (1.0 + k), (1.0 + pp) / k, 1.0 + pp)
     return w ** 2 / 16.0 * f4p ** (1.0 / pp) * (ga + gb)
 
 
-def _printed_2b_g(p: Params, fn: FnTriple, memo: dict | None) -> float:
-    pp, ga, gb = _hoelder_terms(p, fn, memo)
-    inc = _beta_inc(memo, 0.5, 1.0 + pp, 1.0 + pp)
+def _printed_2b_g(p: Params, fn: FnTriple) -> float:
+    pp, ga, gb = _hoelder_terms(p, fn)
+    inc = _beta_inc(0.5, 1.0 + pp, 1.0 + pp)
     return p.width ** 2 / 4.0 * (2.0 * inc) ** (1.0 / pp) * (ga + gb)
 
 
@@ -662,15 +650,13 @@ def corollary_unmet(cid: str, p: Params) -> str | None:
     return None
 
 
-def corollary_check(cid: str, p: Params, fn: FnTriple,
-                    memo: dict | None = None) -> CorollaryReport:
+def corollary_check(cid: str, p: Params, fn: FnTriple) -> CorollaryReport:
     """Compare a printed corollary right-hand side with the general bound.
 
     The returned rhs is always the scaled general bound; the printed
     value and its discrepancy ride along for reporting.  Raises
     DomainError when p does not satisfy the corollary's specialization
-    (midpoint x, pinned lambda/kappa, q regime).  The lhs is taken
-    from memo when one is given.
+    (midpoint x, pinned lambda/kappa, q regime).
     """
     spec = _COROLLARIES.get(cid)
     if spec is None:
@@ -681,10 +667,10 @@ def corollary_check(cid: str, p: Params, fn: FnTriple,
         raise DomainError(unmet)
 
     # q > 1 corollaries specialize the Hoelder route, the rest the power mean
-    base = (bound_thm22 if spec.q_req == "gt1" else bound_thm211)(p, fn, memo=memo)
+    base = (bound_thm22 if spec.q_req == "gt1" else bound_thm211)(p, fn)
     scale = (2.0 / p.width) ** (p.kappa - 1.0) if spec.x_mid else 1.0
     rep = _report("corollary:" + cid, scale * base.lhs, scale * base.rhs)
-    printed_rhs = float(spec.printed(p, fn, memo))
+    printed_rhs = float(spec.printed(p, fn))
     discrepancy = abs(printed_rhs - rep.rhs)
     return CorollaryReport(**vars(rep),
                            printed_rhs=printed_rhs,

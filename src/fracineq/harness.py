@@ -28,7 +28,7 @@ import numpy as np
 from . import bounds
 from .amconvex import corpus, corpus_by_name
 from .errors import AdmissionError, ConvergenceError, DomainError, EvaluationError
-from .identity import Params, fill_sides, memoized, point_key, residual
+from .identity import Params, fill_sides, memoized, point_key, residual, sweep_memo
 from .quad import Tolerance, integrate
 
 CSV_COLUMNS = ("check", "fn", "a", "b", "m", "x", "lambda", "kappa",
@@ -128,8 +128,8 @@ class SweepSummary:
 
 
 # --- the sweep's checks ------------------------------------------------------
-# Each producer maps (grid point, its Params or None, FnTriple, memo) to a
-# list of (which, lhs, rhs, holds, tightness, residual) rows.  Raising
+# Each producer maps (grid point, its Params or None, FnTriple) to a list
+# of (which, lhs, rhs, holds, tightness, residual) rows.  Raising
 # DomainError or AdmissionError, or returning no rows, counts the pair as
 # skipped; so does a point without valid Params, for the checks that read
 # them.  Raising a numerical error counts the pair as failed; a producer
@@ -155,15 +155,14 @@ def _grid_params(pt):
 
 
 def _on_params(produce):
-    """A producer of rows from (Params, fn, memo); invalid points skip."""
-    def rows(pt, prm, fn, memo):
-        return [] if prm is None else produce(prm, fn, memo)
+    """A producer of rows from (Params, fn); invalid points skip."""
+    def rows(pt, prm, fn):
+        return [] if prm is None else produce(prm, fn)
     return rows
 
 
-def _identity_rows(prm, fn, memo):
-    chk = memoized(memo, ("identity",) + point_key(prm, fn),
-                   lambda: residual(prm, fn, memo))
+def _identity_rows(prm, fn):
+    chk = memoized(("identity",) + point_key(prm, fn), lambda: residual(prm, fn))
     return [("identity", chk.lhs, chk.rhs, chk.ok, 0.0, chk.residual)]
 
 
@@ -174,29 +173,29 @@ def _bound_rows(rep):
 def _classical(check, name):
     """check's producer: the row of bounds.<name>(fn, a, b, lambda, q), or []
     for a domain or admission skip, computed once per distinct input."""
-    def rows(pt, _prm, fn, memo):
+    def rows(pt, _prm, fn):
         args = (fn, pt[0], pt[1], pt[4], pt[7])
 
         def compute():
             try:
-                return _bound_rows(getattr(bounds, name)(*args, memo=memo))
+                return _bound_rows(getattr(bounds, name)(*args))
             except (DomainError, AdmissionError):
                 return []
-        return memoized(memo, (check,) + args, compute)
+        return memoized((check,) + args, compute)
     return rows
 
 
-def _corollary_rows(prm, fn, memo):
+def _corollary_rows(prm, fn):
     # the ids corollary_unmet lets through (it reads only the Params and checks
     # thm22's q > 1 too) all reach one _theorem_lhs admission check next: the
     # first id's skip is every id's, and it goes up to run_sweep
-    ids = memoized(memo, ("corollary-ids", prm),
+    ids = memoized(("corollary-ids", prm),
                    lambda: [cid for cid in bounds.COROLLARY_IDS
                             if bounds.corollary_unmet(cid, prm) is None])
     rows = []
     for cid in ids:
         try:
-            rep = bounds.corollary_check(cid, prm, fn, memo=memo)
+            rep = bounds.corollary_check(cid, prm, fn)
         except _NUMERICAL_ERRORS as exc:
             rows.append(_Failed("corollary:" + cid, exc))
             continue
@@ -214,14 +213,13 @@ def _phi_specs(tail):
             for n in ((1, 2, 3) if p is None else (1, 2, 3, 4))]
 
 
-def _phi_rows(pt, _prm, _fn, memo):
+def _phi_rows(pt, _prm, _fn):
     """Closed form (lhs) vs oracle (rhs) of each moment defined at pt."""
     rows = []
     for n, kappa, lam, alpha, p in _phi_specs(pt[4:]):
         try:
-            closed = bounds.phi(n, kappa, lam, alpha=alpha, p=p, memo=memo)
-            oracle = bounds.phi_oracle(n, kappa, lam, alpha=alpha, p=p,
-                                       memo=memo)
+            closed = bounds.phi(n, kappa, lam, alpha=alpha, p=p)
+            oracle = bounds.phi_oracle(n, kappa, lam, alpha=alpha, p=p)
         except _NUMERICAL_ERRORS as exc:
             rows.append(_Failed("phi%d" % n, exc))
             continue
@@ -233,10 +231,8 @@ def _phi_rows(pt, _prm, _fn, memo):
 
 _CHECKS = {
     "identity": _on_params(_identity_rows),
-    "thm211": _on_params(lambda prm, fn, memo: _bound_rows(
-        bounds.bound_thm211(prm, fn, memo=memo))),
-    "thm22": _on_params(lambda prm, fn, memo: _bound_rows(
-        bounds.bound_thm22(prm, fn, memo=memo))),
+    "thm211": _on_params(lambda prm, fn: _bound_rows(bounds.bound_thm211(prm, fn))),
+    "thm22": _on_params(lambda prm, fn: _bound_rows(bounds.bound_thm22(prm, fn))),
     "sarikaya": _classical("sarikaya", "bound_sarikaya"),
     "remark": _classical("remark", "remark_bound"),
     "corollaries": _on_params(_corollary_rows),
@@ -244,23 +240,23 @@ _CHECKS = {
 _SWEEP_CHECKS = tuple(_CHECKS) + ("phi-oracle",)
 
 
-def _grid(cfg: SweepConfig, by_name, memo: dict):
+def _grid(cfg: SweepConfig, by_name):
     """Each grid point, in grid order, with its Params or None if invalid.
 
-    Integrals the rows will read are filled into memo ahead of them in
-    lockstep batches: the oracle integrals of every phi moment before the
+    Integrals the rows will read are filled into the open memo ahead of them
+    in lockstep batches: the oracle integrals of every phi moment before the
     first point, and with the identity check the one-sided integrals and
     kernel halves of each (a, b, m, x) block, together, before its points.
     """
     tails = list(itertools.product(cfg.lam, cfg.kappa, cfg.alpha, cfg.q))
     if "phi-oracle" in cfg.checks:
         bounds.fill_phi_oracles(
-            [spec for tail in tails for spec in _phi_specs(tail)], memo)
+            [spec for tail in tails for spec in _phi_specs(tail)])
     for block in itertools.product(cfg.a, cfg.b, cfg.m, cfg.x):
         points = [(block + tail, _grid_params(block + tail)) for tail in tails]
         if "identity" in cfg.checks:
             fill_sides([(prm, by_name[name].fn) for _, prm in points
-                        if prm is not None for name in cfg.fns], memo)
+                        if prm is not None for name in cfg.fns])
         yield from points
 
 
@@ -277,12 +273,12 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
     phi moment fails alone, any other check for its whole (check, fn)
     pair.
 
-    Each input of a report is computed once per call and shared by every
-    check and every alpha and q that reads it: each grid point's Params,
-    each one-sided RL integral and kernel half, the direct and kernel
-    sides and residual of each identity point (fn, a, b, m, x, lambda,
-    kappa), each phi moment and its oracle, each |f''| triple, the ids of
-    the corollaries that apply at each Params, the Simpson average per
+    Each input of a report is computed once, in the sweep_memo opened with
+    out_path, and shared by every check and every alpha and q that reads it:
+    each grid point's Params, each one-sided RL integral and kernel half, the
+    direct and kernel sides and residual of each identity point (fn, a, b, m,
+    x, lambda, kappa), each phi moment and its oracle, each |f''| triple, the
+    ids of the corollaries that apply at each Params, the Simpson average per
     (fn, a, b), and each sarikaya and remark row (or skip) per (fn, a, b,
     lambda, q); each row rebuilds its thm211/thm22 report from them.  Most
     integrals run in lockstep batches (see _grid); no bit of a row moves.
@@ -293,7 +289,6 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
     quoting (check ids, corpus names, numbers, true/false).
     """
     by_name = corpus_by_name()
-    memo: dict = {}
     total = 0
     skipped = 0
     failed = 0
@@ -302,9 +297,9 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
     max_resid = 0.0
     phi_seen = set()
 
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with open(out_path, "w", encoding="utf-8", newline="") as fh, sweep_memo():
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        for pt, prm in _grid(cfg, by_name, memo):
+        for pt, prm in _grid(cfg, by_name):
             cells = ",".join(map(_fmt, pt))
             for check in cfg.checks:
                 if check == "phi-oracle":
@@ -317,7 +312,7 @@ def run_sweep(cfg: SweepConfig, out_path: str) -> SweepSummary:
                                for name in cfg.fns]
                 for fn_name, fn, produce in batches:
                     try:
-                        out = produce(pt, prm, fn, memo)
+                        out = produce(pt, prm, fn)
                     except (DomainError, AdmissionError):
                         out = []
                     except _NUMERICAL_ERRORS as exc:

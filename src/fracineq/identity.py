@@ -26,6 +26,8 @@ assembled from the quadrature error estimates.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -43,6 +45,7 @@ RESIDUAL_BUDGET_FACTOR = 10.0
 
 SIDE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_subdiv=2000)
 _MISSING = object()     # memo.get's default: no stored value is this
+_MEMO: ContextVar = ContextVar("sweep_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -105,15 +108,26 @@ class IdentityCheck:
                                  + RESIDUAL_FLOOR)
 
 
-def memoized(memo: dict | None, key: tuple, compute):
-    """compute(), stored in memo under key when a memo is given.
+@contextmanager
+def sweep_memo():
+    """A fresh memo, yielded, that memoized and memoized_integrals store
+    into until the block exits, by an error too; none is open outside one.
 
-    A sweep passes one dict down to every check so that each value is
-    computed at most once per sweep.  Each key is a tag plus exactly the
-    inputs its computation reads; functions enter keys as FnTriple
-    objects, never by name, so two functions that share a name never
-    share an entry.  A computation that raises stores nothing.
+    Each key is a tag plus exactly the inputs its computation reads;
+    functions enter keys as FnTriple objects, never by name, so two
+    functions that share a name never share an entry.
     """
+    token = _MEMO.set({})
+    try:
+        yield _MEMO.get()
+    finally:
+        _MEMO.reset(token)
+
+
+def memoized(key: tuple, compute):
+    """compute(), stored under key in the open sweep_memo, if any; a
+    computation that raises stores nothing."""
+    memo = _MEMO.get()
     if memo is None:
         return compute()
     value = memo.get(key, _MISSING)
@@ -122,22 +136,22 @@ def memoized(memo: dict | None, key: tuple, compute):
     return value
 
 
-def memoized_integrals(memo: dict | None, keys: list, build,
-                       tol: Tolerance) -> list:
-    """The QuadResult of each memo key of keys, in order, stored in memo.
+def memoized_integrals(keys: list, build, tol: Tolerance) -> list:
+    """Each key's QuadResult, in order, stored in the open memo if one is.
 
     build(key, shared) returns the (f, lo, hi) quadrature jobs of the
     integral a key names and a scale: the integral is the scale times the
     sum of their results, in job order; shared is one dict per call, for
     work the jobs share.  The jobs of every distinct key missing from
-    memo run in one integrate_batch at tol, so a sweep block and a
+    the memo run in one integrate_batch at tol, so a sweep block and a
     single reader make the same call, with many keys or one.  A key whose
     build raises, or one of whose jobs fails, gets that error (the first
     in job order) in place of a QuadResult and is not stored: its next
     reader computes it again and gets the same error.  When every key is
-    in memo this is one lookup per key.
+    in the memo this is one lookup per key.
     """
-    store = {} if memo is None else memo
+    store = _MEMO.get()
+    store = {} if store is None else store
     try:
         return [store[key] for key in keys]
     except KeyError:
@@ -181,8 +195,7 @@ def _ends(p: Params, fn: FnTriple) -> list:
             for end in (p.a, p.mb) if end != x]
 
 
-def _direct_with_budget(p: Params, fn: FnTriple,
-                        memo: dict | None = None) -> tuple[float, float]:
+def _direct_with_budget(p: Params, fn: FnTriple) -> tuple[float, float]:
     mb, w, k = p.mb, p.width, p.kappa
     xa, bx = p.x - p.a, mb - p.x
     value = (1.0 - p.lam) * (xa ** k + bx ** k) / w * float(fn.f(p.x))
@@ -192,7 +205,7 @@ def _direct_with_budget(p: Params, fn: FnTriple,
     gk1 = gamma(k + 1.0)
     frac, budget = 0.0, 0.0
     keys = [rl for _, rl, _ in _ends(p, fn)]
-    for res in unwrap(memoized_integrals(memo, keys, side_spec, SIDE_TOL)):
+    for res in unwrap(memoized_integrals(keys, side_spec, SIDE_TOL)):
         frac += res.value
         budget += res.abs_error_estimate
     value -= gk1 / w * frac
@@ -252,15 +265,16 @@ def side_spec(key: tuple, shared: dict) -> tuple:
     return [job], g
 
 
-def fill_sides(pairs: list, memo: dict) -> None:
-    """Store in memo every integral both sides read at each (Params, fn) of
-    pairs, in one lockstep batch (per pair its RL integrals, then its kernel
-    halves); as in memoized_integrals, a failing integral is not stored."""
+def fill_sides(pairs: list) -> None:
+    """Store in the open memo every integral both sides read at each
+    (Params, fn) of pairs, in one lockstep batch (per pair its RL integrals,
+    then its kernel halves); as in memoized_integrals, a failing integral is
+    not stored."""
     keys = []
     for p, fn in pairs:
         ends = _ends(p, fn)
         keys += [rl for _, rl, _ in ends] + [half for _, _, half in ends]
-    memoized_integrals(memo, keys, side_spec, SIDE_TOL)
+    memoized_integrals(keys, side_spec, SIDE_TOL)
 
 
 def end_coef(p: Params, end: float) -> float:
@@ -270,10 +284,9 @@ def end_coef(p: Params, end: float) -> float:
     return abs(p.x - end) ** (k + 2.0) / ((k + 1.0) * p.width)
 
 
-def _kernel_with_budget(p: Params, fn: FnTriple,
-                        memo: dict | None = None) -> tuple[float, float]:
+def _kernel_with_budget(p: Params, fn: FnTriple) -> tuple[float, float]:
     ends = _ends(p, fn)
-    got = unwrap(memoized_integrals(memo, [half for _, _, half in ends],
+    got = unwrap(memoized_integrals([half for _, _, half in ends],
                                     side_spec, SIDE_TOL))
     value, budget = 0.0, 0.0
     for (end, _, _), half in zip(ends, got):
@@ -293,23 +306,21 @@ def kernel_side(p: Params, fn: FnTriple) -> float:
     return _kernel_with_budget(p, fn)[0]
 
 
-def direct_with_budget(p: Params, fn: FnTriple,
-                       memo: dict | None = None) -> tuple[float, float]:
-    """The direct side and its quadrature budget, once per point in a memo."""
-    return memoized(memo, ("direct",) + point_key(p, fn),
-                    lambda: _direct_with_budget(p, fn, memo))
+def direct_with_budget(p: Params, fn: FnTriple) -> tuple[float, float]:
+    """The direct side and its quadrature budget, once per point in a sweep."""
+    return memoized(("direct",) + point_key(p, fn),
+                    lambda: _direct_with_budget(p, fn))
 
 
-def residual(p: Params, fn: FnTriple,
-             memo: dict | None = None) -> IdentityCheck:
+def residual(p: Params, fn: FnTriple) -> IdentityCheck:
     """|direct - kernel| against the sum of both sides' quadrature budgets.
 
-    With a memo, the direct side is computed at most once per point and
+    In a sweep, the direct side is computed at most once per point and
     each kernel half once; summing the halves is left uncached.  Of the
     sweep's checks only this one reads the kernel side, so a sweep
     without identity checks never starts a kernel integral.
     """
-    lhs, b1 = direct_with_budget(p, fn, memo)
-    rhs, b2 = _kernel_with_budget(p, fn, memo)
+    lhs, b1 = direct_with_budget(p, fn)
+    rhs, b2 = _kernel_with_budget(p, fn)
     return IdentityCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
                          quad_error_budget=b1 + b2)

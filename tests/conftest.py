@@ -2,7 +2,10 @@
 finite-difference check of a corpus entry's derivatives, the whole-grid
 admission check that the slab loop must match bit for bit, the
 uncorrected printed closed forms of phi3 and phi4 (the errata reference),
-and the two-call GK15 rule that quad._rule must match bit for bit."""
+the two-call GK15 rule that quad._rule must match bit for bit, and a call
+made outside any open sweep memo."""
+
+import contextvars
 
 import numpy as np
 
@@ -10,6 +13,12 @@ from fracineq import FnTriple, Params, beta, hyp2f1, phi4
 from fracineq.amconvex import DEFAULT_GRID, ConvexityReport
 from fracineq.errors import EvaluationError
 from fracineq.quad import _Evaluator
+
+
+def alone(call, *args, **kwargs):
+    """call(*args, **kwargs) in a fresh context, where no sweep_memo is
+    open: computed afresh, as every caller outside a sweep computes it."""
+    return contextvars.Context().run(call, *args, **kwargs)
 
 
 def standard_grid(a: float, b: float):

@@ -22,10 +22,11 @@ from fracineq import (AdmissionError, ConvergenceError, DomainError,
 from fracineq.amconvex import FnTriple
 from fracineq.bounds import (_ORACLE_TOL, PHI4_TAIL_BUDGET, fill_phi_oracles,
                              remark_phi1, remark_phi2, remark_phi3)
+from fracineq.identity import sweep_memo
 from fracineq.specfun import hyp2f1_result
 from fracineq.quad import integrate
 
-from conftest import phi3_literal, phi4_literal
+from conftest import alone, phi3_literal, phi4_literal
 
 FNS = {k: v.fn for k, v in corpus_by_name().items()}
 
@@ -147,13 +148,13 @@ def test_oracle_jobs_equal_the_serial_segment_sum_bit_for_bit():
         for al in (0.0, 0.25, 0.5, 0.75, 1.0):
             specs += [(2, k, lam, al, None), (3, k, lam, al, None)]
         specs += [(4, k, lam, None, p) for p in (1.5, 2.0, 4.0)]
-    memo = {}
-    fill_phi_oracles(specs, memo)
-    assert len(memo) == len(specs) == 1764
-    for which, k, lam, al, p in specs:
-        want = _serial_oracle(which, k, lam, al, p)
-        assert phi_oracle(which, k, lam, alpha=al, p=p) == want
-        assert phi_oracle(which, k, lam, alpha=al, p=p, memo=memo) == want
+    with sweep_memo() as memo:
+        fill_phi_oracles(specs)
+        assert len(memo) == len(specs) == 1764
+        for which, k, lam, al, p in specs:
+            want = _serial_oracle(which, k, lam, al, p)
+            assert alone(phi_oracle, which, k, lam, alpha=al, p=p) == want
+            assert phi_oracle(which, k, lam, alpha=al, p=p) == want
 
 
 @pytest.mark.parametrize("spec", [(2, 1.0, 0.5, None, None),
@@ -162,20 +163,19 @@ def test_oracle_jobs_equal_the_serial_segment_sum_bit_for_bit():
 def test_a_spec_missing_its_argument_fails_before_any_oracle_round(spec):
     # the moment key checks it, so neither this spec nor the good one
     # before it reaches the engine
-    memo, start = {}, quad.WORK[:]
-    with pytest.raises(DomainError, match="needs"):
-        fill_phi_oracles([(1, 1.0, 0.5, None, None), spec], memo)
+    start = quad.WORK[:]
+    with sweep_memo() as memo, pytest.raises(DomainError, match="needs"):
+        fill_phi_oracles([(1, 1.0, 0.5, None, None), spec])
     assert quad.WORK == start and memo == {}
 
 
 def test_phi_oracle_raises_the_error_of_its_integral():
     # t^p |c - t^kappa|^p at p = 1e308 is 0 * inf at the first nodes; the
     # failed integral is not stored, so each reader gets the error
-    memo = {}
-    with np.errstate(over="ignore", invalid="ignore"):
+    with sweep_memo() as memo, np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2):
             with pytest.raises(EvaluationError, match="non-finite"):
-                phi_oracle(4, 1.0, 1.0, p=1e308, memo=memo)
+                phi_oracle(4, 1.0, 1.0, p=1e308)
     assert memo == {}
 
 

@@ -19,10 +19,11 @@ import fracineq.harness
 import fracineq.identity
 import fracineq.quad
 from fracineq import (DomainError, FnTriple, Params, bound_sarikaya,
-                      corpus_by_name, residual)
+                      corpus_by_name, phi_oracle, residual)
 from fracineq.harness import (CSV_COLUMNS, DEFAULT_CONFIG, SweepConfig, main,
                               parse_sweep_config, remark_comparison_table,
                               run_sweep, sanity_classical, write_remark_table)
+from fracineq.identity import memoized, sweep_memo
 
 SMALL_SWEEP_CFG = os.path.join(os.path.dirname(__file__), "data",
                                "sweep_small.cfg")
@@ -258,7 +259,7 @@ def test_sweep_rows_are_the_bytes_csv_writer_writes(tmp_path, monkeypatch):
                  ("corollary:2a-b", 1e308, 5e-324, False, -1.5, 1.0)]
     calls = []
 
-    def stub(pt, prm, fn, memo):
+    def stub(pt, prm, fn):
         calls.append((pt, fn.name))
         return stub_rows
 
@@ -324,9 +325,9 @@ def _spy(monkeypatch, module, name):
     calls = collections.Counter()
     original = getattr(module, name)
 
-    def spy(p, fn, memo=None):
+    def spy(p, fn):
         calls[(fn, p.a, p.b, p.m, p.x, p.lam, p.kappa)] += 1
-        return original(p, fn, memo)
+        return original(p, fn)
 
     monkeypatch.setattr(module, name, spy)
     return calls
@@ -352,8 +353,7 @@ def test_bounds_only_sweep_runs_no_kernel_integral(tmp_path, monkeypatch):
 
 
 def _spy_args(monkeypatch, module, name):
-    """Count the calls of module.name that return, by their arguments
-    other than a memo.
+    """Count the calls of module.name that return, by their arguments.
 
     A call that raises stores nothing in the memo, so it is not counted.
     """
@@ -362,7 +362,6 @@ def _spy_args(monkeypatch, module, name):
 
     def spy(*args, **kwargs):
         value = original(*args, **kwargs)
-        kwargs.pop("memo", None)
         calls[args + tuple(sorted(kwargs.items()))] += 1
         return value
 
@@ -379,10 +378,11 @@ def _spy_integrals(monkeypatch):
     calls = collections.Counter()
     original = fracineq.identity.memoized_integrals
 
-    def spy(memo, keys, build, tol):
+    def spy(keys, build, tol):
+        memo = fracineq.identity._MEMO.get()
         missing = [key for key in dict.fromkeys(keys)
                    if memo is None or key not in memo]
-        got = original(memo, keys, build, tol)
+        got = original(keys, build, tol)
         done = dict(zip(keys, got))
         for key in missing:
             if not isinstance(done[key], Exception):
@@ -422,8 +422,8 @@ def test_sweep_fills_each_block_once_with_the_identity_check(tmp_path,
     filled = []
     original = fracineq.harness.fill_sides
     monkeypatch.setattr(fracineq.harness, "fill_sides",
-                        lambda pairs, memo: filled.append(len(pairs))
-                        or original(pairs, memo))
+                        lambda pairs: filled.append(len(pairs))
+                        or original(pairs))
     others = tuple(c for c in cfg.checks if c != "identity")
     for checks, calls in ((others, 0), (cfg.checks, blocks)):
         del filled[:]
@@ -440,10 +440,10 @@ def test_sweep_computes_each_classical_row_once(tmp_path, monkeypatch):
     # AdmissionError
     calls = collections.Counter()
     for name in ("bound_sarikaya", "remark_bound"):
-        def spy(fn, a, b, lam, q, memo=None, name=name,
+        def spy(fn, a, b, lam, q, name=name,
                 original=getattr(fracineq.bounds, name)):
             calls[(name, fn.name, a, b, lam, q)] += 1
-            return original(fn, a, b, lam, q, memo=memo)
+            return original(fn, a, b, lam, q)
 
         monkeypatch.setattr(fracineq.bounds, name, spy)
     cfg = dataclasses.replace(parse_sweep_config(SMALL_SWEEP_CFG),
@@ -586,14 +586,45 @@ def test_memo_never_shares_entries_between_same_named_fns():
     twin = FnTriple(f=lambda u: 2.0 * np.exp(u), df=lambda u: 2.0 * np.exp(u),
                     ddf=lambda u: 2.0 * np.exp(u), name="exp")
     p = Params(a=0.0, b=1.0, m=1.0, x=0.25, lam=0.5, kappa=1.0)
-    memo = {}
-    first = residual(p, exp, memo)
-    second = residual(p, twin, memo)
-    assert second.lhs == pytest.approx(2.0 * first.lhs, rel=1e-12)
-    assert second.rhs == pytest.approx(2.0 * first.rhs, rel=1e-12)
-    lhs = [bound_sarikaya(fn, 0.0, 1.0, 0.5, 1.0, memo=memo).lhs
-           for fn in (exp, twin)]
-    assert lhs[1] == pytest.approx(2.0 * lhs[0], rel=1e-9)
+    with sweep_memo():
+        first = residual(p, exp)
+        second = residual(p, twin)
+        assert second.lhs == pytest.approx(2.0 * first.lhs, rel=1e-12)
+        assert second.rhs == pytest.approx(2.0 * first.rhs, rel=1e-12)
+        lhs = [bound_sarikaya(fn, 0.0, 1.0, 0.5, 1.0).lhs for fn in (exp, twin)]
+        assert lhs[1] == pytest.approx(2.0 * lhs[0], rel=1e-9)
+
+
+def test_nothing_is_cached_outside_a_sweep(tmp_path, monkeypatch):
+    # the CLI, perfbench and library callers call the public functions with
+    # no sweep open: each call computes afresh.  run_sweep closes its memo
+    # when it returns and when a producer's own error goes up through it
+    def oracle_rounds():
+        start = fracineq.quad.WORK[0]
+        phi_oracle(4, 1.0, 0.2, p=2.0)
+        return fracineq.quad.WORK[0] - start
+
+    def computes_afresh():
+        calls = []
+        for _ in range(2):
+            memoized(("probe",), lambda: calls.append(0))
+        return len(calls) == 2
+
+    first, second = oracle_rounds(), oracle_rounds()
+    assert first > 0 and second == first
+    assert computes_afresh()
+    assert run_sweep(small_config(), str(tmp_path / "r.csv")).ok
+    assert computes_afresh()
+    inside = []
+
+    def broken(pt, prm, fn):
+        inside.append(computes_afresh())
+        raise RuntimeError("a producer's own bug")
+
+    monkeypatch.setitem(fracineq.harness._CHECKS, "identity", broken)
+    with pytest.raises(RuntimeError, match="own bug"):
+        run_sweep(small_config(), str(tmp_path / "r.csv"))
+    assert inside == [False] and computes_afresh()
 
 
 def test_fn_triples_are_identity_keyed(monkeypatch):
@@ -605,8 +636,8 @@ def test_fn_triples_are_identity_keyed(monkeypatch):
     assert one != two and one == one
     monkeypatch.setattr(fracineq.amconvex, "_ADMISSION_CACHE", {})
     p = Params(a=0.0, b=1.0, m=1.0, x=0.25, lam=0.5, kappa=1.0)
-    memo = {}
-    assert residual(p, one, memo) == residual(p, two, memo)
+    with sweep_memo() as memo:
+        assert residual(p, one) == residual(p, two)
     keys = [[key for key in memo if fn in key] for fn in (one, two)]
     assert keys[0] and len(keys[0]) == len(keys[1])
     assert not set(keys[0]) & set(keys[1])
@@ -894,7 +925,7 @@ def test_cli_verification_failure_exit_1(monkeypatch, capsys):
     # closed form to exercise the nonzero exit path
     import fracineq.bounds as bounds
 
-    monkeypatch.setattr(bounds, "phi4", lambda k, lam, p, memo=None: 99.0)
+    monkeypatch.setattr(bounds, "phi4", lambda k, lam, p: 99.0)
     rc = main(["phi", "4", "--kappa", "1", "--lambda", "0.2", "--p", "2",
                "--oracle"])
     capsys.readouterr()

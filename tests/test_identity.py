@@ -18,10 +18,11 @@ from fracineq.amconvex import FnTriple
 from fracineq.fracint import rl_left_result, rl_right_result
 import fracineq.identity
 from fracineq.identity import (SIDE_TOL, _ends, direct_with_budget, fill_sides,
-                               memoized, memoized_integrals, side_spec)
+                               memoized, memoized_integrals, side_spec,
+                               sweep_memo)
 from fracineq.specfun import gamma
 
-from conftest import standard_grid
+from conftest import alone, standard_grid
 
 FNS = {k: v.fn for k, v in corpus_by_name().items()}
 
@@ -29,11 +30,11 @@ FNS = {k: v.fn for k, v in corpus_by_name().items()}
 RL, HALF = 1, 2
 
 
-def _fill(pairs, memo, kind):
+def _fill(pairs, kind):
     """One memoized_integrals call over the integrals of one kind that the
     two sides read at each (Params, fn) pair, as fill_sides fills both."""
     keys = [end[kind] for p, fn in pairs for end in _ends(p, fn)]
-    memoized_integrals(memo, keys, side_spec, SIDE_TOL)
+    memoized_integrals(keys, side_spec, SIDE_TOL)
 
 
 def _rl_sides(memo):
@@ -183,10 +184,10 @@ def test_memo_shared_across_points_changes_no_bit():
     # one memo over the whole grid: the points share RL integrals across
     # lambda and kernel halves across m and x, and every field of every
     # residual must still equal the one computed afresh
-    memo = {}
-    for fn in FNS.values():
-        for p in standard_grid(0.0, 1.0):
-            assert residual(p, fn, memo) == residual(p, fn), (fn.name, p)
+    with sweep_memo() as memo:
+        for fn in FNS.values():
+            for p in standard_grid(0.0, 1.0):
+                assert residual(p, fn) == alone(residual, p, fn), (fn.name, p)
     halves = [k for k in memo if k[0] == "kernel-half"]
     points = [k for k in memo if k[0] == "direct"]
     assert 0 < len(halves) < 2 * len(points)
@@ -295,20 +296,20 @@ def test_filled_halves_change_no_bit_and_a_failing_half_raises_alone():
     bad = FnTriple(f=math.exp, df=math.exp, ddf=ddf, name="inf-past-0.7")
     pairs = [(p, fn) for fn in (FNS["exp"], FNS["pow-2.5"], bad)
              for p in standard_grid(0.0, 1.0) if p.x == 0.5]
-    memo = {}
-    _fill(pairs, memo, HALF)
-    assert all(k[0] == "kernel-half" for k in memo)
-    stored = {(k[1], k[2]) for k in memo}
-    assert (bad, 0.0) in stored and (bad, 1.0) not in stored
-    for p, fn in pairs:
-        if fn is bad and p.x < p.mb:
-            with pytest.raises(EvaluationError) as filled:
-                residual(p, fn, memo)
-            with pytest.raises(EvaluationError) as alone:
-                residual(p, fn)
-            assert str(filled.value) == str(alone.value)
-        else:
-            assert residual(p, fn, memo) == residual(p, fn), (fn.name, p)
+    with sweep_memo() as memo:
+        _fill(pairs, HALF)
+        assert all(k[0] == "kernel-half" for k in memo)
+        stored = {(k[1], k[2]) for k in memo}
+        assert (bad, 0.0) in stored and (bad, 1.0) not in stored
+        for p, fn in pairs:
+            if fn is bad and p.x < p.mb:
+                with pytest.raises(EvaluationError) as filled:
+                    residual(p, fn)
+                with pytest.raises(EvaluationError) as fresh:
+                    alone(residual, p, fn)
+                assert str(filled.value) == str(fresh.value)
+            else:
+                assert residual(p, fn) == alone(residual, p, fn), (fn.name, p)
     # the identity read only halves that were already filled or failed
     assert {(k[1], k[2]) for k in memo if k[0] == "kernel-half"} == stored
 
@@ -325,14 +326,15 @@ def test_filled_rl_integrals_equal_fresh_ones():
     # one batch over the whole grid for each function: every one-sided
     # integral it stores must equal rl_*_result computed alone, bit for bit
     for fn in FNS.values():
-        memo = {}
-        _fill([(p, fn) for p in standard_grid(0.0, 1.0)], memo, RL)
-        assert memo and all(k[0] == "rl" for k in memo)
-        assert _rl_sides(memo) == {True, False}
-        for key, res in memo.items():
-            assert res == _rl_fresh(fn, key), (fn.name, key)
-        for p in standard_grid(0.0, 1.0):
-            assert direct_with_budget(p, fn, memo) == direct_with_budget(p, fn)
+        with sweep_memo() as memo:
+            _fill([(p, fn) for p in standard_grid(0.0, 1.0)], RL)
+            assert memo and all(k[0] == "rl" for k in memo)
+            assert _rl_sides(memo) == {True, False}
+            for key, res in memo.items():
+                assert res == _rl_fresh(fn, key), (fn.name, key)
+            for p in standard_grid(0.0, 1.0):
+                assert direct_with_budget(p, fn) \
+                    == alone(direct_with_budget, p, fn)
 
 
 def test_a_failing_rl_integral_is_not_stored_and_raises_alone():
@@ -344,15 +346,15 @@ def test_a_failing_rl_integral_is_not_stored_and_raises_alone():
     bad = FnTriple(f=f, df=math.exp, ddf=math.exp, name="inf-past-0.7")
     pairs = [(p, bad) for p in standard_grid(0.0, 1.0)
              if p.x == 0.5 and p.m == 1.0]
-    memo = {}
-    _fill(pairs, memo, RL)
-    assert {k[0] for k in memo} == {"rl"} and _rl_sides(memo) == {False}
-    for p, fn in pairs:
-        with pytest.raises(EvaluationError) as filled:
-            direct_with_budget(p, fn, memo)
-        with pytest.raises(EvaluationError) as alone:
-            direct_with_budget(p, fn)
-        assert str(filled.value) == str(alone.value)
+    with sweep_memo() as memo:
+        _fill(pairs, RL)
+        assert {k[0] for k in memo} == {"rl"} and _rl_sides(memo) == {False}
+        for p, fn in pairs:
+            with pytest.raises(EvaluationError) as filled:
+                direct_with_budget(p, fn)
+            with pytest.raises(EvaluationError) as fresh:
+                alone(direct_with_budget, p, fn)
+            assert str(filled.value) == str(fresh.value)
     # the failed integral was recomputed alone and stored nothing either
     assert {k[0] for k in memo} == {"rl"} and _rl_sides(memo) == {False}
 
@@ -362,23 +364,23 @@ def test_a_filled_block_is_read_without_building_a_job(monkeypatch):
     # read its integrals from the memo: one lookup each, no job built
     block = [(p, fn) for p in standard_grid(0.0, 1.0)
              if (p.m, p.x) == (1.0, 0.5) for fn in FNS.values()]
-    memo = {}
-    fill_sides(block, memo)
-    built = collections.Counter()
-    for name in ("rl_job", "_kernel_pieces"):
-        original = getattr(fracineq.identity, name)
+    with sweep_memo():
+        fill_sides(block)
+        built = collections.Counter()
+        for name in ("rl_job", "_kernel_pieces"):
+            original = getattr(fracineq.identity, name)
 
-        def spy(*args, name=name, original=original):
-            built[name] += 1
-            return original(*args)
+            def spy(*args, name=name, original=original):
+                built[name] += 1
+                return original(*args)
 
-        monkeypatch.setattr(fracineq.identity, name, spy)
-    for p, fn in block:
-        residual(p, fn, memo)
-    assert not built
-    # the spies do see a point outside the block build its jobs
-    residual(Params(a=0.0, b=1.0, m=1.0, x=0.25, lam=0.5, kappa=1.0),
-             FNS["exp"], memo)
+            monkeypatch.setattr(fracineq.identity, name, spy)
+        for p, fn in block:
+            residual(p, fn)
+        assert not built
+        # the spies do see a point outside the block build its jobs
+        residual(Params(a=0.0, b=1.0, m=1.0, x=0.25, lam=0.5, kappa=1.0),
+                 FNS["exp"])
     assert built["rl_job"] == 2 and built["_kernel_pieces"] == 2
 
 
@@ -392,18 +394,19 @@ def test_a_mixed_fill_stores_each_kind_as_it_is_stored_alone():
     bad = FnTriple(f=f, df=math.exp, ddf=f, name="inf-past-0.7")
     pairs = [(p, fn) for p in standard_grid(0.0, 1.0)
              for fn in (FNS["exp"], FNS["pow-2.5"], bad)]
-    mixed, alone = {}, {}
-    fill_sides(pairs, mixed)
+    separate = {}
+    with sweep_memo() as mixed:
+        fill_sides(pairs)
     for kind in (RL, HALF):
-        memo = {}
-        _fill(pairs, memo, kind)
-        alone.update(memo)
-    assert mixed.keys() == alone.keys()
+        with sweep_memo() as memo:
+            _fill(pairs, kind)
+        separate.update(memo)
+    assert mixed.keys() == separate.keys()
     bad_keys = {k for p, fn in pairs if fn is bad
                 for _, rl, half in _ends(p, fn) for k in (rl, half)}
     assert 0 < len(bad_keys & mixed.keys()) < len(bad_keys)
     for key, value in mixed.items():
-        assert repr(value) == repr(alone[key]), key
+        assert repr(value) == repr(separate[key]), key
 
 
 def test_params_validation():
@@ -440,7 +443,7 @@ def test_a_non_finite_parameter_is_a_domain_error(name):
 
 def test_memoized_stores_nothing_when_its_compute_raises():
     # a skip or a failure is not a value: its next reader computes again
-    memo, calls = {}, []
+    calls = []
 
     def compute():
         calls.append(len(calls))
@@ -448,11 +451,12 @@ def test_memoized_stores_nothing_when_its_compute_raises():
             raise EvaluationError("first call fails")
         return 7.0
 
-    with pytest.raises(EvaluationError):
-        memoized(memo, ("tag", 1.0), compute)
-    assert memo == {}
-    assert memoized(memo, ("tag", 1.0), compute) == 7.0
-    assert memoized(memo, ("tag", 1.0), compute) == 7.0
+    with sweep_memo() as memo:
+        with pytest.raises(EvaluationError):
+            memoized(("tag", 1.0), compute)
+        assert memo == {}
+        assert memoized(("tag", 1.0), compute) == 7.0
+        assert memoized(("tag", 1.0), compute) == 7.0
     assert calls == [0, 1] and memo == {("tag", 1.0): 7.0}
 
 
