@@ -32,12 +32,12 @@ def rl_job(f: Callable[[float], float], anchor: float, kappa: float,
         if not x > anchor:
             raise DomainError("rl_left requires x > a, got a=%r x=%r"
                               % (anchor, x))
-        weight = (anchor, x, 0.0, kappa - 1.0)
+        weight = (anchor, x, 1.0, kappa)
     else:
         if not x < anchor:
             raise DomainError("rl_right requires x < b, got b=%r x=%r"
                               % (anchor, x))
-        weight = (x, anchor, kappa - 1.0, 0.0)
+        weight = (x, anchor, kappa, 1.0)
     return singular_jobs(f, *weight)[0], 1.0 / gamma(kappa)
 
 

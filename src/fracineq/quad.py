@@ -12,12 +12,13 @@ bit of any result; integrate is a batch of one.  A job whose integrand
 returns numpy arrays also samples its likely next splits (LOOKAHEAD).
 
 integrate_singular handles integrands with an explicit endpoint weight
-(t - lo)^p_lo (hi - t)^p_hi, p > -1, by the power substitution t = lo + v^k,
-which makes them smooth enough for the plain rule; with p + 1 < 0.5 the
-integrand's value at the endpoint is subtracted first.  singular_jobs
-builds those jobs without running them, so callers can put them in a
-batch.  Interior kinks are the caller's problem; callers are expected to
-split at known kink locations.
+(t - lo)^p_lo (hi - t)^p_hi, p > -1, by the power substitution
+t = lo + v^k, which makes them smooth enough for the plain rule; with
+p + 1 < 0.5 the integrand's value at the endpoint is subtracted first.
+singular_jobs builds those jobs without running them, so callers can put
+them in a batch; it takes the orders p + 1, which a fractional integral
+holds exactly.  Interior kinks are the caller's problem; callers are
+expected to split at known kink locations.
 """
 
 from __future__ import annotations
@@ -380,66 +381,67 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
     return unwrap(integrate_batch([(f, lo, hi)], tol))[0]
 
 
-def _is_nonneg_integer(p: float) -> bool:
-    return p >= 0.0 and abs(p - round(p)) < 1e-14
+def _is_pos_integer(r: float) -> bool:
+    return r >= 1.0 and abs(r - round(r)) < 1e-14
 
 
-def _one_sided(g, A: float, B: float, p: float, at_lower: bool) -> tuple:
-    """The substituted (h, lo, hi) job of g(t) * |t - endpoint|^p, anchored at A or B.
+def _one_sided(g, A: float, B: float, r: float, at_lower: bool) -> tuple:
+    """The substituted (h, lo, hi) job of g(t) |t - anchor|^(r-1), anchor A or B.
 
-    With p + 1 < 0.5, g at the anchor is subtracted and its exact weighted
+    With r < 0.5, g at the anchor is subtracted and its exact weighted
     integral added back as a constant over [0, vmax] (singularity subtraction).
     """
-    subtract = p + 1.0 < 0.5 and B > A
-    # k (p+1) - 1 >= 3 makes h C^3 at v = 0; k (p+2) - 1 >= 3 once g is subtracted
-    k = max(2, math.ceil(4.0 / (p + 2.0 if subtract else p + 1.0)))
+    subtract = r < 0.5 and B > A
+    # k r - 1 >= 3 makes h C^3 at v = 0; k (r+1) - 1 >= 3 once g is subtracted
+    k = max(2, math.ceil(4.0 / (r + 1.0 if subtract else r)))
     vmax = (B - A) ** (1.0 / k)
-    expo = k * (p + 1.0) - 1.0
+    expo = k * r - 1.0
     at = (lambda v: A + v ** k) if at_lower else (lambda v: B - v ** k)
     if not subtract:
         return (lambda v: k * v ** expo * g(at(v))), 0.0, vmax
     g0 = float(g(at(0.0)))
-    exact = g0 * (B - A) ** (p + 1.0) / (p + 1.0)
+    exact = g0 * (B - A) ** r / r
     return (lambda v: k * v ** expo * (g(at(v)) - g0) + exact / vmax), 0.0, vmax
 
 
 def singular_jobs(f: Callable[[float], float], lo: float, hi: float,
-                  p_lo: float, p_hi: float) -> list:
-    """The (h, lo, hi) jobs of integrate_singular, after its argument checks.
+                  r_lo: float, r_hi: float) -> list:
+    """The (h, lo, hi) jobs of integrate_singular with the exponents
+    r_lo - 1 and r_hi - 1, after its argument checks.
 
     One, run at the caller's tolerance, when at most one endpoint weight
     is singular; two, each at half the absolute tolerance, when both are.
     The sum of their results, in order, is the weighted integral (0 when
     hi == lo: every job is then empty).
     """
-    if not (math.isfinite(p_lo) and math.isfinite(p_hi)):
+    if not (math.isfinite(r_lo) and math.isfinite(r_hi)):
         raise DomainError("weight exponents must be finite")
-    if p_lo <= -1.0 or p_hi <= -1.0:
+    if r_lo <= 0.0 or r_hi <= 0.0:
         raise DomainError(
             "weight exponent <= -1 is non-integrable: p_lo=%g p_hi=%g"
-            % (p_lo, p_hi))
+            % (r_lo - 1.0, r_hi - 1.0))
     _check_interval(lo, hi)
 
-    smooth_lo = _is_nonneg_integer(p_lo)
-    smooth_hi = _is_nonneg_integer(p_hi)
+    smooth_lo = _is_pos_integer(r_lo)
+    smooth_hi = _is_pos_integer(r_hi)
     if smooth_lo and smooth_hi:
-        n_lo, n_hi = int(round(p_lo)), int(round(p_hi))
+        n_lo, n_hi = int(round(r_lo)) - 1, int(round(r_hi)) - 1
         return [(lambda t: f(t) * (t - lo) ** n_lo * (hi - t) ** n_hi, lo, hi)]
     if smooth_hi:
-        n_hi = int(round(p_hi))
+        n_hi = int(round(r_hi)) - 1
         g = (lambda t: f(t) * (hi - t) ** n_hi) if n_hi else f
-        return [_one_sided(g, lo, hi, p_lo, True)]
+        return [_one_sided(g, lo, hi, r_lo, True)]
     if smooth_lo:
-        n_lo = int(round(p_lo))
+        n_lo = int(round(r_lo)) - 1
         g = (lambda t: f(t) * (t - lo) ** n_lo) if n_lo else f
-        return [_one_sided(g, lo, hi, p_hi, False)]
+        return [_one_sided(g, lo, hi, r_hi, False)]
 
     # both endpoints singular: split in the middle, fold the far weight
     mid = 0.5 * (lo + hi)
-    g_lo = lambda t: f(t) * (hi - t) ** p_hi
-    g_hi = lambda t: f(t) * (t - lo) ** p_lo
-    return [_one_sided(g_lo, lo, mid, p_lo, True),
-            _one_sided(g_hi, mid, hi, p_hi, False)]
+    g_lo = lambda t: f(t) * (hi - t) ** (r_hi - 1.0)
+    g_hi = lambda t: f(t) * (t - lo) ** (r_lo - 1.0)
+    return [_one_sided(g_lo, lo, mid, r_lo, True),
+            _one_sided(g_hi, mid, hi, r_hi, False)]
 
 
 def integrate_singular(f: Callable[[float], float], lo: float, hi: float,
@@ -452,7 +454,7 @@ def integrate_singular(f: Callable[[float], float], lo: float, hi: float,
     else is a divergent weight and raises DomainError.
     """
     tol = tol if tol is not None else _DEFAULT_TOL
-    jobs = singular_jobs(f, lo, hi, p_lo, p_hi)
+    jobs = singular_jobs(f, lo, hi, p_lo + 1.0, p_hi + 1.0)
     if len(jobs) < 2:
         return integrate(*jobs[0], tol)
     half_tol = Tolerance(tol.abs_tol * 0.5, tol.rel_tol, tol.max_subdiv)

@@ -432,7 +432,7 @@ def test_both_singular_ends_run_in_one_batch():
     # the two halves, each at half the absolute tolerance, advance in one
     # lockstep batch and give the bits each gives alone, summed in order
     f = lambda t: np.exp(t) * np.cos(3.0 * t)
-    jobs = singular_jobs(f, 0.0, 2.0, -0.3, -0.6)
+    jobs = singular_jobs(f, 0.0, 2.0, 0.7, 0.4)     # the orders p + 1
     half = Tolerance(0.5e-12, 1e-12, 2000)
     alone = []
     for job in jobs:
