@@ -31,6 +31,11 @@ DEFAULT_GRID = (41, 41, 33)
 VIOLATION_TOL = 1e-12
 # samples per slab: each temporary stays under glibc's 128 KiB mmap threshold
 SLAB_SAMPLES = 12_000
+# an untouched block of this size, freed at import, raises glibc's heap trim
+# threshold to twice it: the heap top a check's slab temporaries free is then
+# kept mapped for the next check, wherever the temporaries sit in the heap
+TRIM_GUARD_BYTES = 1 << 19
+np.empty(TRIM_GUARD_BYTES, np.uint8)
 
 
 @dataclass(frozen=True, eq=False)

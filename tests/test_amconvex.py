@@ -308,3 +308,37 @@ def test_large_y_t_plane_checks_make_no_page_faults_after_warm_up():
     # y; whole x-row slabs made about 560 faults per check here
     faults = _minor_faults_in_20_checks((6, 200, 200))
     assert faults <= 10 * 20, "%d minor page faults in 20 checks" % faults
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults with getrusage")
+def test_checks_make_no_page_faults_whatever_the_heap_layout():
+    # each round holds one more block, which moves what sits above the slab
+    # temporaries in the heap.  Without amconvex's trim guard, glibc trimmed
+    # the heap top they freed after some of these layouts (rounds 35-39 in
+    # most environments) and every check faulted it back in: 18-70 faults
+    script = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from fracineq import check_am_convex, corpus_by_name
+        ddf = corpus_by_name()["pow-2.5"].fn.ddf
+        checks = [(lambda u: np.abs(ddf(u)) ** 4.0, 0.5, 0.5),
+                  (np.sqrt, 0.5, 1.0), (np.exp, 1.0, 1.0)]
+        def run(n):
+            for i in range(n):
+                g, alpha, m = checks[i % len(checks)]
+                check_am_convex(g, alpha, m, (0.0, 0.8), (6, 200, 200))
+        held, faults = [], []
+        for block in range(1000, 40000, 997):
+            held.append(bytearray(block))
+            run(3)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            run(6)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        print(max(faults))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracineq.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert int(out.stdout) <= 10 * 6, "%s minor page faults in 6 checks" % out.stdout
